@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ArmciError
 from ..pami.activemsg import AmEnvelope
-from ..pami.context import CompletionItem, PamiContext
+from ..pami.context import PamiContext
 from ..pami.memory import as_u8
 from .handles import Handle
 
@@ -83,8 +83,4 @@ def handle_acc_request(rt: "ArmciProcess", ctx: PamiContext, env: AmEnvelope) ->
     view += h["scale"] * update
     rt.trace.incr("armci.accs_applied")
     hops = rt.world.network.hops(rt.rank, env.src)
-    reply_ctx: PamiContext = h["reply_ctx"]
-    rt.engine.schedule(
-        hops * rt.world.params.hop_latency,
-        lambda _a: reply_ctx.post(CompletionItem(h["ack"])),
-    )
+    h["reply_ctx"].complete_after(hops * rt.world.params.hop_latency, h["ack"])

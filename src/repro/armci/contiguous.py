@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any, Generator
 
 from ..errors import ResourceExhaustedError
 from ..pami.activemsg import AmEnvelope
-from ..pami.context import CompletionItem, PamiContext, WorkItem
+from ..pami.context import PamiContext, WorkItem
 from ..pami.memregion import MemoryRegion
 from .handles import Handle
 
@@ -114,11 +114,8 @@ def handle_region_query(rt: "ArmciProcess", ctx: PamiContext, env: AmEnvelope) -
     """Target-side REGION_QUERY handler: look up the region, reply."""
     region = rt.world.regions[rt.rank].find(env.header["addr"], env.header["nbytes"])
     hops = rt.world.network.hops(rt.rank, env.src)
-    latency = hops * rt.world.params.hop_latency
-    reply_ctx: PamiContext = env.header["reply_ctx"]
-    rt.engine.schedule(
-        latency,
-        lambda _a: reply_ctx.post(CompletionItem(env.header["reply"], region)),
+    env.header["reply_ctx"].complete_after(
+        hops * rt.world.params.hop_latency, env.header["reply"], region
     )
 
 
@@ -218,10 +215,9 @@ def handle_get_request(rt: "ArmciProcess", ctx: PamiContext, env: AmEnvelope) ->
     h = env.header
     data = rt.world.space(rt.rank).snapshot(h["addr"], h["nbytes"])
     timing = rt.world.network.am_payload_timing(rt.rank, env.src, h["nbytes"])
-    reply_ctx: PamiContext = h["reply_ctx"]
     rt.engine.schedule(
         timing.deliver - rt.engine.now,
-        lambda _a: reply_ctx.post(_GetReplyItem(data, h["local_addr"], h["event"])),
+        h["reply_ctx"].post, _GetReplyItem(data, h["local_addr"], h["event"]),
     )
 
 
@@ -262,9 +258,6 @@ def handle_put_request(rt: "ArmciProcess", ctx: PamiContext, env: AmEnvelope) ->
     """Target-side fall-back put: write payload, ack for fences."""
     rt.world.space(rt.rank).write_into(env.header["addr"], env.payload)
     hops = rt.world.network.hops(rt.rank, env.src)
-    latency = hops * rt.world.params.hop_latency
-    reply_ctx: PamiContext = env.header["reply_ctx"]
-    ack = env.header["ack"]
-    rt.engine.schedule(
-        latency, lambda _a: reply_ctx.post(CompletionItem(ack))
+    env.header["reply_ctx"].complete_after(
+        hops * rt.world.params.hop_latency, env.header["ack"]
     )

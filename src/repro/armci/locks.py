@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING, Any, Generator
 
 from ..errors import ArmciError
 from ..pami.activemsg import AmEnvelope
-from ..pami.context import CompletionItem, PamiContext
+from ..pami.context import PamiContext
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import ArmciProcess
@@ -124,10 +124,7 @@ _UNLOCK_REQUEST_ID = 8
 
 def _send_grant(rt: "ArmciProcess", to_rank: int, grant, reply_ctx: PamiContext) -> None:
     hops = rt.world.network.hops(rt.rank, to_rank)
-    rt.engine.schedule(
-        hops * rt.world.params.hop_latency,
-        lambda _a: reply_ctx.post(CompletionItem(grant)),
-    )
+    reply_ctx.complete_after(hops * rt.world.params.hop_latency, grant)
 
 
 def handle_lock_request(rt: "ArmciProcess", ctx: PamiContext, env: AmEnvelope) -> None:

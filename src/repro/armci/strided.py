@@ -21,9 +21,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import ArmciError
-from ..pami import faults as _flt
+from ..pami import rma as _rma
 from ..pami.activemsg import AmEnvelope
-from ..pami.context import CompletionItem, PamiContext, WorkItem
+from ..pami.context import PamiContext, WorkItem
 from ..pami.memory import as_u8
 from ..types import StridedDescriptor
 from .handles import Handle
@@ -129,6 +129,15 @@ def nbget_strided_zero_copy(
 # ------------------------------------------------------------------ typed
 
 
+def typed_occupancy(rt: "ArmciProcess", chunks: int) -> float:
+    """Extra NIC occupancy of one typed transfer: a descriptor fetch per
+    chunk plus the backend's per-op origin overhead."""
+    return (
+        chunks * rt.world.params.typed_descriptor_time
+        + rt.transport.rma_extra_occupancy
+    )
+
+
 def nbput_strided_typed(
     rt: "ArmciProcess",
     dst: int,
@@ -141,68 +150,21 @@ def nbput_strided_typed(
 
     The NIC walks the chunk descriptors: one message overhead total plus a
     small per-chunk descriptor cost, instead of a full message per chunk.
+    The packed chunks ride the ordinary RDMA put path, so the transfer
+    gets the same fault handling (integrity, link faults) as any put.
     """
-    world = rt.world
-    total = desc.shape.total_bytes
-    extra = (
-        desc.shape.num_chunks * world.params.typed_descriptor_time
-        + rt.transport.rma_extra_occupancy
+    chunks = desc.shape.num_chunks
+    op = _rma.rdma_put(
+        rt.main_context, dst, local_base, remote_base, desc.shape.total_bytes,
+        want_remote_ack=True,
+        extra_occupancy=typed_occupancy(rt, chunks),
+        data=_gather(rt.world.space(rt.rank), local_base, desc, "src"),
+        land=lambda space, data: _scatter(space, remote_base, desc, "dst", data),
+        span="typed_put", chunks=chunks,
     )
-    data = _gather(world.space(rt.rank), local_base, desc, "src")
-    timing = world.network.put_timing(rt.rank, dst, total, extra_occupancy=extra)
-    engine = world.engine
-    now = engine.now
-    done = engine.event(f"typedput.{rt.rank}->{dst}")
-    ack = engine.event(f"typedput.ack.{rt.rank}->{dst}")
-    ctx = rt.main_context
-
-    chaos = world.chaos
-    deliver_at = timing.deliver
-    fault = None
-    if chaos is not None:
-        fault = chaos.transfer_fault(rt.rank, dst, "put")
-        deliver_at = chaos.ordered_deliver(rt.rank, dst, timing.deliver)
-    world.ordering.record(rt.rank, dst, deliver_at)
-
-    def deliver(_a) -> None:
-        if fault is None and not world.is_failed(dst):
-            _scatter(world.space(dst), remote_base, desc, "dst", data)
-
-    engine.schedule(deliver_at - now, deliver)
-    if fault is not None:
-        engine.schedule(
-            timing.complete + chaos.config.detect_delay - now,
-            lambda _a: ctx.post(CompletionItem(done, fault)),
-        )
-    else:
-        engine.schedule(
-            timing.complete - now, lambda _a: ctx.post(CompletionItem(done))
-        )
-    hops = world.network.hops(rt.rank, dst)
-
-    def ack_cb(_a) -> None:
-        if world.is_failed(dst):
-            engine.schedule(
-                _flt.FAULT_DETECT_DELAY,
-                lambda _b: ctx.post(CompletionItem(ack, _flt.Failure(dst))),
-            )
-        else:
-            ctx.post(CompletionItem(ack))
-
-    engine.schedule(deliver_at + hops * world.params.hop_latency - now, ack_cb)
-    handle.add_event(done)
-    rt.track_write_ack(dst, ack)
+    handle.add_event(op.local_event)
+    rt.track_write_ack(dst, op.remote_ack_event)
     rt.trace.incr("armci.puts_strided_typed")
-    obs = world.obs
-    if obs is not None:
-        # The typed path times itself (no rma.py call), so it records
-        # its own wire span.
-        sid = obs.record(
-            rt.rank, "net", "rdma", "typed_put", now, timing.complete,
-            dst=dst, nbytes=total, chunks=desc.shape.num_chunks,
-        )
-        obs.register_event(done, sid)
-        obs.register_event(ack, sid)
     return handle
 
 
@@ -215,57 +177,16 @@ def nbget_strided_typed(
     handle: Handle,
 ) -> Handle:
     """Single typed-datatype get for tall-skinny patches."""
-    world = rt.world
-    total = desc.shape.total_bytes
-    extra = (
-        desc.shape.num_chunks * world.params.typed_descriptor_time
-        + rt.transport.rma_extra_occupancy
+    chunks = desc.shape.num_chunks
+    op = _rma.rdma_get(
+        rt.main_context, dst, remote_base, local_base, desc.shape.total_bytes,
+        extra_occupancy=typed_occupancy(rt, chunks),
+        read=lambda space: _gather(space, remote_base, desc, "dst"),
+        land=lambda space, data: _scatter(space, local_base, desc, "src", data),
+        span="typed_get", chunks=chunks,
     )
-    timing = world.network.get_timing(rt.rank, dst, total, extra_occupancy=extra)
-    engine = world.engine
-    now = engine.now
-    done = engine.event(f"typedget.{rt.rank}<-{dst}")
-    ctx = rt.main_context
-    snapshot: list[np.ndarray] = []
-
-    chaos = world.chaos
-    fault = None
-    extra_latency = 0.0
-    if chaos is not None:
-        fault = chaos.transfer_fault(rt.rank, dst, "get")
-        extra_latency = (
-            chaos.unordered_deliver(rt.rank, dst, timing.deliver) - timing.deliver
-        )
-
-    def read_remote(_a) -> None:
-        if fault is None and not world.is_failed(dst):
-            snapshot.append(_gather(world.space(dst), remote_base, desc, "dst"))
-
-    def complete(_a) -> None:
-        if not snapshot:
-            if fault is not None:
-                token, delay = fault, chaos.config.detect_delay
-            else:
-                token, delay = _flt.Failure(dst), _flt.FAULT_DETECT_DELAY
-            engine.schedule(
-                delay, lambda _b: ctx.post(CompletionItem(done, token))
-            )
-            return
-        _scatter(world.space(rt.rank), local_base, desc, "src", snapshot[0])
-        ctx.post(CompletionItem(done))
-
-    engine.schedule(timing.deliver + extra_latency - now, read_remote)
-    engine.schedule(timing.complete + extra_latency - now, complete)
-    handle.add_event(done)
+    handle.add_event(op.local_event)
     rt.trace.incr("armci.gets_strided_typed")
-    obs = world.obs
-    if obs is not None:
-        sid = obs.record(
-            rt.rank, "net", "rdma", "typed_get", now,
-            timing.complete + extra_latency,
-            dst=dst, nbytes=total, chunks=desc.shape.num_chunks,
-        )
-        obs.register_event(done, sid)
     return handle
 
 
@@ -311,9 +232,7 @@ def nbput_strided_pack(
     # The local pack cost stalls the caller; charged via a pack event
     # resolved immediately by the handle machinery.
     pack_done = world.engine.event()
-    world.engine.schedule(
-        total * world.params.pack_byte_time, lambda _a: ctx.post(CompletionItem(pack_done))
-    )
+    ctx.complete_after(total * world.params.pack_byte_time, pack_done)
     handle.add_event(pack_done)
     rt.track_write_ack(dst, ack)
     rt.trace.incr("armci.puts_strided_pack")
@@ -330,11 +249,7 @@ def handle_strided_packed_put(
     h = env.header
     _scatter(rt.world.space(rt.rank), h["remote_base"], h["desc"], "dst", env.payload)
     hops = rt.world.network.hops(rt.rank, env.src)
-    reply_ctx: PamiContext = h["reply_ctx"]
-    rt.engine.schedule(
-        hops * rt.world.params.hop_latency,
-        lambda _a: reply_ctx.post(CompletionItem(h["ack"])),
-    )
+    h["reply_ctx"].complete_after(hops * rt.world.params.hop_latency, h["ack"])
 
 
 class _PackedGetReplyItem(WorkItem):
@@ -407,12 +322,10 @@ def handle_strided_packed_get(
     # Pack cost is paid by the target progress engine before injecting.
     pack_cost = total * rt.world.params.pack_byte_time
     timing = rt.world.network.am_payload_timing(rt.rank, env.src, total)
-    reply_ctx: PamiContext = h["reply_ctx"]
     rt.engine.schedule(
         timing.deliver + pack_cost - rt.engine.now,
-        lambda _a: reply_ctx.post(
-            _PackedGetReplyItem(data, h["local_base"], desc, h["event"])
-        ),
+        h["reply_ctx"].post,
+        _PackedGetReplyItem(data, h["local_base"], desc, h["event"]),
     )
 
 

@@ -19,11 +19,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import ArmciError
-from ..pami import faults as _flt
+from ..pami import rma as _rma
 from ..pami.activemsg import AmEnvelope
-from ..pami.context import CompletionItem, PamiContext, WorkItem
+from ..pami.context import PamiContext, WorkItem
 from ..pami.memory import as_u8
 from .handles import Handle
+from .strided import typed_occupancy
 
 if TYPE_CHECKING:  # pragma: no cover
     from .runtime import ArmciProcess
@@ -168,75 +169,24 @@ def nbputv_typed(
     The aggregation path (Fig. 5's remedy for many small messages): one
     message overhead for the whole vector plus a small per-segment NIC
     descriptor cost, with the NIC scattering fragments at the target.
+    The segments ride the ordinary RDMA put path, so every aggregate
+    flush gets the same fault handling (integrity, link faults) as any
+    put.
     """
-    world = rt.world
-    space = world.space(rt.rank)
-    data = [
-        space.snapshot(a, n) for a, n in zip(vec.local_addrs, vec.lengths)
-    ]
-    extra = (
-        vec.num_segments * world.params.typed_descriptor_time
-        + rt.transport.rma_extra_occupancy
+    space = rt.world.space(rt.rank)
+    op = _rma.rdma_put(
+        rt.main_context, dst, vec.local_addrs[0], vec.remote_addrs[0],
+        vec.total_bytes, want_remote_ack=True,
+        extra_occupancy=typed_occupancy(rt, vec.num_segments),
+        data=_gather_segments(space, vec.local_addrs, vec.lengths, vec.total_bytes),
+        land=lambda target, data: _scatter_segments(
+            target, vec.remote_addrs, vec.lengths, data
+        ),
+        span="typed_putv", segments=vec.num_segments,
     )
-    timing = world.network.put_timing(
-        rt.rank, dst, vec.total_bytes, extra_occupancy=extra
-    )
-    engine = world.engine
-    now = engine.now
-
-    chaos = world.chaos
-    deliver_at = timing.deliver
-    fault = None
-    if chaos is not None:
-        fault = chaos.transfer_fault(rt.rank, dst, "put")
-        deliver_at = chaos.ordered_deliver(rt.rank, dst, timing.deliver)
-    world.ordering.record(rt.rank, dst, deliver_at)
-    done = engine.event(f"typedputv.{rt.rank}->{dst}")
-    ack = engine.event(f"typedputv.ack.{rt.rank}->{dst}")
-    ctx = rt.main_context
-
-    def deliver(_a) -> None:
-        if fault is not None or world.is_failed(dst):
-            return
-        target = world.space(dst)
-        for addr, payload in zip(vec.remote_addrs, data):
-            target.write_into(addr, payload)
-
-    engine.schedule(deliver_at - now, deliver)
-    if fault is not None:
-        engine.schedule(
-            timing.complete + chaos.config.detect_delay - now,
-            lambda _a: ctx.post(CompletionItem(done, fault)),
-        )
-    else:
-        engine.schedule(
-            timing.complete - now,
-            lambda _a: ctx.post(CompletionItem(done)),
-        )
-    hops = world.network.hops(rt.rank, dst)
-
-    def ack_cb(_a) -> None:
-        if world.is_failed(dst):
-            engine.schedule(
-                _flt.FAULT_DETECT_DELAY,
-                lambda _b: ctx.post(CompletionItem(ack, _flt.Failure(dst))),
-            )
-        else:
-            ctx.post(CompletionItem(ack))
-
-    engine.schedule(deliver_at + hops * world.params.hop_latency - now, ack_cb)
-    handle.add_event(done)
-    rt.track_write_ack(dst, ack)
+    handle.add_event(op.local_event)
+    rt.track_write_ack(dst, op.remote_ack_event)
     rt.trace.incr("armci.putv_typed")
-    obs = world.obs
-    if obs is not None:
-        # Hand-rolled timing (no rma.py call): record the wire span here.
-        sid = obs.record(
-            rt.rank, "net", "rdma", "typed_putv", now, timing.complete,
-            dst=dst, nbytes=vec.total_bytes, segments=vec.num_segments,
-        )
-        obs.register_event(done, sid)
-        obs.register_event(ack, sid)
     return handle
 
 
@@ -306,11 +256,7 @@ def handle_vector_put(rt: "ArmciProcess", ctx: PamiContext, env: AmEnvelope) -> 
     space = rt.world.space(rt.rank)
     _scatter_segments(space, h["addrs"], h["lengths"], env.payload)
     hops = rt.world.network.hops(rt.rank, env.src)
-    reply_ctx: PamiContext = h["reply_ctx"]
-    rt.engine.schedule(
-        hops * rt.world.params.hop_latency,
-        lambda _a: reply_ctx.post(CompletionItem(h["ack"])),
-    )
+    h["reply_ctx"].complete_after(hops * rt.world.params.hop_latency, h["ack"])
 
 
 class _VectorGetReplyItem(WorkItem):
@@ -372,10 +318,8 @@ def handle_vector_get(rt: "ArmciProcess", ctx: PamiContext, env: AmEnvelope) -> 
     )
     pack_cost = len(data) * rt.world.params.pack_byte_time
     timing = rt.world.network.am_payload_timing(rt.rank, env.src, len(data))
-    reply_ctx: PamiContext = h["reply_ctx"]
     rt.engine.schedule(
         timing.deliver + pack_cost - rt.engine.now,
-        lambda _a: reply_ctx.post(
-            _VectorGetReplyItem(data, h["local_addrs"], h["lengths"], h["event"])
-        ),
+        h["reply_ctx"].post,
+        _VectorGetReplyItem(data, h["local_addrs"], h["lengths"], h["event"]),
     )

@@ -18,8 +18,7 @@ from ..errors import PamiError
 from ..obs.span import context_lane
 from ..sim.event import Event
 from . import faults as _flt
-from .context import CompletionItem, PamiContext, WorkItem
-from .integrity import PayloadCorruption
+from .context import PamiContext, WorkItem
 
 #: Transport retransmit backoff / budget for link-fault losses when
 #: neither the chaos nor the integrity layer supplies its own knobs.
@@ -162,6 +161,137 @@ class AmOp:
     span_id: int | None = None
 
 
+class _AmFlight:
+    """One active message in flight; ``deliver`` runs once per attempt."""
+
+    __slots__ = (
+        "world", "env", "target_context", "src_inc", "dst_inc", "link_mode",
+        "protection", "budget", "detect_delay", "retrans_delay", "attempts",
+    )
+
+    def __init__(self, world, env: AmEnvelope, target_context, link_mode) -> None:
+        self.world = world
+        self.env = env
+        self.target_context = target_context
+        self.src_inc = world.incarnations[env.src]
+        self.dst_inc = world.incarnations[env.dst]
+        self.link_mode = link_mode
+        self.attempts = 0
+        chaos = world.chaos
+        integ = world.integrity
+        self.protection = (
+            integ.protect(env.src, env.dst, env.payload) if integ is not None else None
+        )
+        # Per-message attempt budget (the final attempt always delivers —
+        # bounded loss — unless the route is gone entirely).
+        if chaos is not None or integ is not None:
+            self.budget = max(
+                chaos.config.max_retransmits if chaos is not None else 0,
+                integ.config.max_retransmits if integ is not None else 0,
+            )
+        else:
+            self.budget = LINK_RETRANSMIT_BUDGET
+        self.detect_delay = (
+            chaos.config.detect_delay if chaos is not None else _flt.FAULT_DETECT_DELAY
+        )
+        self.retrans_delay = (
+            chaos.config.retransmit_delay
+            if chaos is not None
+            else integ.config.retransmit_delay
+            if integ is not None
+            else LINK_RETRANSMIT_DELAY
+        )
+
+    def _target(self) -> PamiContext:
+        # Resolve the client at delivery time: the post-time client object
+        # is stale if the target died and respawned in between.
+        return self.world.client(self.env.dst).request_context(self.target_context)
+
+    def _release_credit(self) -> None:
+        # A credited request that will never be serviced (target died, or
+        # the loss was reported to the initiator) must return its FIFO
+        # slot, or backpressure would leak credits under chaos. The slot
+        # belongs to the incarnation the credit was acquired against: a
+        # respawned target's fresh contexts carry fresh credits, so stale
+        # releases are dropped rather than over-crediting the new FIFO.
+        env = self.env
+        if env.header.get("_credit") and self.world.incarnations[env.dst] == self.dst_inc:
+            self._target().release_credit()
+
+    def deliver(self, _arg) -> None:
+        world = self.world
+        env = self.env
+        src, dst = env.src, env.dst
+        if not _flt.alive(world, src, self.src_inc):
+            # Sender's incarnation is gone: its state was rolled back, so
+            # servicing this request could double-apply replayed effects.
+            world.trace.incr("pami.stale_deliveries_dropped")
+            self._release_credit()
+            return
+        if not _flt.alive(world, dst, self.dst_inc):
+            _flt.fail_am_replies(world, env, dst)
+            self._release_credit()
+            return
+        self.attempts += 1
+        net = world.network
+        chaos = world.chaos
+        if self.attempts <= self.budget:
+            fault, corruption, _ = _flt.transfer_fate(
+                chaos, net, src, dst, "am", self.link_mode
+            )
+        elif self.link_mode and net.route_blocked(src, dst):
+            # Out of budget and no healthy path remains: undeliverable.
+            # Cookied requests surface the loss; fire-and-forget ones
+            # vanish (their credit is returned so the FIFO stays sane).
+            _flt.fail_reply_cookies(
+                world, env, _flt.TransientFault("unreachable", src, dst),
+                self.detect_delay,
+            )
+            world.trace.incr("net.am_undeliverable")
+            self._release_credit()
+            return
+        else:
+            # The final retransmit always delivers (bounded loss), so
+            # fire-and-forget traffic cannot livelock under faults.
+            fault = corruption = None
+        if fault is not None:
+            if _flt.fail_reply_cookies(world, env, fault, self.detect_delay):
+                self._release_credit()
+            else:
+                # No reply cookies: the initiator can't observe the loss,
+                # so the transport retransmits (the credit stays held —
+                # the slot is still reserved for this request).
+                world.trace.incr(
+                    "net.retransmits"
+                    if fault.reason == "link_dead"
+                    else "chaos.retransmits"
+                )
+                world.engine.schedule(self.retrans_delay, self.deliver)
+            return
+        env_out = env
+        if corruption is not None:
+            env_out = dataclasses.replace(env, payload=corruption.apply(env.payload))
+        verdict = _flt.verdict(
+            world, self.protection, src, dst, env_out.payload,
+            corruption is not None and env.payload is not None,
+        )
+        if verdict == "corrupt":
+            # End-to-end checksum rejects the damaged delivery; the
+            # transport retransmits transparently.
+            world.integrity.count_retransmit(env.payload_bytes)
+            world.engine.schedule(
+                world.integrity.config.retransmit_delay, self.deliver
+            )
+            return
+        if verdict == "duplicate":
+            self._release_credit()
+            return
+        dst_ctx = self._target()
+        dst_ctx.post(AmItem(env_out))
+        if chaos is not None and chaos.duplicate(src, dst):
+            dst_ctx.post(DuplicateAmItem(env))
+
+
 def send_am(
     ctx: PamiContext,
     dst_rank: int,
@@ -175,153 +305,32 @@ def send_am(
     The envelope lands on the target's progress context (or an explicit
     ``target_context``) and waits for a thread there to advance. The local
     event fires once the send buffer is reusable.
+
+    Fault handling (chaos, link faults, integrity) runs per delivery
+    attempt in :class:`_AmFlight`. Chaos RNG draw order, a replay
+    contract: the ordered jitter at post, a fault roll per attempt, and
+    the duplicate roll after the envelope is posted to the target.
     """
     world = ctx.client.world
     src = ctx.client.rank
     env = AmEnvelope(dispatch_id, src, dst_rank, dict(header or {}), payload)
-    timing = world.network.am_payload_timing(src, dst_rank, env.payload_bytes)
+    net = world.network
+    timing = net.am_payload_timing(src, dst_rank, env.payload_bytes)
     engine = world.engine
     now = engine.now
 
-    chaos = world.chaos
-    integ = world.integrity
-    net = world.network
     link_mode = net.route_table is not None and not net.is_local(src, dst_rank)
+    flight = _AmFlight(world, env, target_context, link_mode)
     deliver_at = timing.deliver
-    if chaos is not None:
-        deliver_at = chaos.ordered_deliver(src, dst_rank, timing.deliver)
+    if world.chaos is not None:
+        deliver_at = world.chaos.ordered_deliver(src, dst_rank, deliver_at)
     if link_mode:
         deliver_at = net.ordered_deliver(src, dst_rank, deliver_at)
     world.ordering.record(src, dst_rank, deliver_at)
 
     local_event = engine.event(f"am.local.{src}->{dst_rank}")
-    attempts = [0]
-    src_inc = world.incarnations[src]
-    dst_inc = world.incarnations[dst_rank]
-    protection = (
-        integ.protect(src, dst_rank, env.payload) if integ is not None else None
-    )
-    # Per-message attempt budget (the final attempt always delivers —
-    # bounded loss — unless the route is gone entirely).
-    if chaos is not None or integ is not None:
-        budget = max(
-            chaos.config.max_retransmits if chaos is not None else 0,
-            integ.config.max_retransmits if integ is not None else 0,
-        )
-    else:
-        budget = LINK_RETRANSMIT_BUDGET
-    detect_delay = (
-        chaos.config.detect_delay if chaos is not None else _flt.FAULT_DETECT_DELAY
-    )
-    retrans_delay = (
-        chaos.config.retransmit_delay
-        if chaos is not None
-        else integ.config.retransmit_delay
-        if integ is not None
-        else LINK_RETRANSMIT_DELAY
-    )
-
-    def release_credit() -> None:
-        # A credited request that will never be serviced (target died, or
-        # the loss was reported to the initiator) must return its FIFO
-        # slot, or backpressure would leak credits under chaos. The slot
-        # belongs to the incarnation the credit was acquired against: a
-        # respawned target's fresh contexts carry fresh credits, so stale
-        # releases are dropped rather than over-crediting the new FIFO.
-        if env.header.get("_credit") and world.incarnations[dst_rank] == dst_inc:
-            target_client = world.client(dst_rank)
-            if target_context is not None:
-                target_client.context(target_context).release_credit()
-            else:
-                target_client.progress_context().release_credit()
-
-    def deliver(_arg) -> None:
-        if world.is_failed(src) or world.incarnations[src] != src_inc:
-            # Sender's incarnation is gone: its state was rolled back, so
-            # servicing this request could double-apply replayed effects.
-            world.trace.incr("pami.stale_deliveries_dropped")
-            release_credit()
-            return
-        if world.is_failed(dst_rank) or world.incarnations[dst_rank] != dst_inc:
-            _flt.fail_am_replies(world, env, dst_rank)
-            release_credit()
-            return
-        attempts[0] += 1
-        within = attempts[0] <= budget
-        outcome = None  # TransientFault | PayloadCorruption | None
-        wire_loss = False
-        if chaos is not None and within:
-            # The final retransmit always delivers (bounded loss), so
-            # fire-and-forget traffic cannot livelock under chaos.
-            outcome = chaos.transfer_fault(src, dst_rank, "am")
-        if outcome is None and link_mode and within:
-            wire = net.wire_fate(src, dst_rank, "am")
-            if wire is not None:
-                if wire[0] == "dropped":
-                    outcome = _flt.TransientFault("link_dead", src, dst_rank)
-                    wire_loss = True
-                else:
-                    outcome = wire[1]
-        if not within and link_mode and net.route_blocked(src, dst_rank):
-            # Out of budget and no healthy path remains: undeliverable.
-            # Cookied requests surface the loss; fire-and-forget ones
-            # vanish (their credit is returned so the FIFO stays sane).
-            _flt.fail_reply_cookies(
-                world, env,
-                _flt.TransientFault("unreachable", src, dst_rank),
-                detect_delay,
-            )
-            world.trace.incr("net.am_undeliverable")
-            release_credit()
-            return
-        if isinstance(outcome, _flt.TransientFault):
-            failed = _flt.fail_reply_cookies(world, env, outcome, detect_delay)
-            if failed == 0:
-                # No reply cookies: the initiator can't observe the
-                # loss, so the transport retransmits (the credit stays
-                # held — the slot is still reserved for this request).
-                world.trace.incr(
-                    "net.retransmits" if wire_loss else "chaos.retransmits"
-                )
-                engine.schedule(retrans_delay, deliver)
-            else:
-                release_credit()
-            return
-        env_out = env
-        if outcome is not None:  # PayloadCorruption
-            env_out = dataclasses.replace(env, payload=outcome.apply(env.payload))
-        if protection is not None:
-            verdict = integ.verify(
-                src, dst_rank, protection[0], protection[1], env_out.payload
-            )
-            if verdict == "corrupt":
-                # End-to-end checksum rejects the damaged delivery; the
-                # transport retransmits transparently.
-                integ.count_retransmit(env.payload_bytes)
-                engine.schedule(integ.config.retransmit_delay, deliver)
-                return
-            if verdict == "duplicate":
-                release_credit()
-                return
-        elif outcome is not None and env.payload is not None:
-            # No integrity layer: the damaged payload lands silently.
-            world.trace.incr("pami.silent_corruptions")
-        # Resolve the client at delivery time: the post-time client object
-        # is stale if the target died and respawned in between.
-        target_client = world.client(dst_rank)
-        if target_context is not None:
-            dst_ctx = target_client.context(target_context)
-        else:
-            dst_ctx = target_client.progress_context()
-        dst_ctx.post(AmItem(env_out))
-        if chaos is not None and chaos.duplicate(src, dst_rank):
-            dst_ctx.post(DuplicateAmItem(env))
-
-    engine.schedule(deliver_at - now, deliver)
-    engine.schedule(
-        timing.inject_done - now,
-        lambda _arg: ctx.post(CompletionItem(local_event)),
-    )
+    engine.schedule(deliver_at - now, flight.deliver)
+    ctx.complete_after(timing.inject_done - now, local_event)
     world.trace.incr("pami.am_sent")
     obs = world.obs
     span_id = None

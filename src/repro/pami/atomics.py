@@ -25,7 +25,7 @@ from ..errors import PamiError
 from ..sim.event import Event
 from . import faults as _flt
 from .context import CompletionItem, PamiContext, WorkItem
-from .integrity import PayloadCorruption, corrupt_int
+from .integrity import corrupt_int
 
 #: value_new = op(value_old, operand, operand2); returns the new value.
 RmwFunc = Callable[[int, int, int], int]
@@ -121,9 +121,8 @@ class RmwItem(WorkItem):
         # Reply control packet back to the initiator.
         hops = world.network.hops(req.dst, req.src)
         latency = hops * world.params.hop_latency
-        src_ctx = world.client(req.src).context(req.reply_context)
-        world.engine.schedule(
-            latency, lambda _arg: src_ctx.post(CompletionItem(req.event, old))
+        world.client(req.src).context(req.reply_context).complete_after(
+            latency, req.event, old
         )
 
     def on_dropped(self, world, dead_rank: int) -> None:
@@ -133,12 +132,9 @@ class RmwItem(WorkItem):
         src_client = world.client(req.src)
         if world.is_failed(req.src) or req.reply_context >= len(src_client.contexts):
             return  # initiator is gone too (or respawning): nobody waits
-        src_ctx = src_client.context(req.reply_context)
-        world.engine.schedule(
-            _flt.FAULT_DETECT_DELAY,
-            lambda _a: src_ctx.post(
-                CompletionItem(req.event, _flt.Failure(dead_rank))
-            ),
+        _flt.post_error(
+            src_client.context(req.reply_context), req.event,
+            _flt.Failure(dead_rank),
         )
 
 
@@ -167,6 +163,147 @@ def _apply(world, req: "_RmwRequest") -> int:
     old = int(cell[0])
     cell[0] = RMW_OPS[req.op](old, req.operand, req.operand2)
     return old
+
+
+class _RmwFlight:
+    """One AMO in flight: NIC service, or software delivery attempts."""
+
+    __slots__ = (
+        "ctx", "world", "req", "wire", "credited", "parent_span",
+        "target_context", "src_inc", "dst_inc", "link_mode", "protection",
+        "attempts",
+    )
+
+    def __init__(
+        self, ctx, world, req, credited, parent_span, target_context
+    ) -> None:
+        self.ctx = ctx
+        self.world = world
+        self.req = req
+        self.wire = req  # the request as the wire delivers its first copy
+        self.credited = credited
+        self.parent_span = parent_span
+        self.target_context = target_context
+        self.src_inc = world.incarnations[req.src]
+        self.dst_inc = world.incarnations[req.dst]
+        self.protection = None
+        self.attempts = 0
+
+    def _return_credit(self) -> None:
+        # Credits belong to the incarnation they were acquired against; a
+        # respawned target's fresh context must not be over-credited.
+        dst = self.req.dst
+        if self.credited and self.world.incarnations[dst] == self.dst_inc:
+            self.world.client(dst).progress_context().release_credit()
+
+    def _verdict(self, wire_req) -> str:
+        req = self.req
+        return _flt.verdict(
+            self.world, self.protection, req.src, req.dst,
+            _operand_bytes(wire_req) if self.protection is not None else None,
+            wire_req is not req,
+        )
+
+    def _retransmit(self) -> None:
+        integ = self.world.integrity
+        integ.count_retransmit(len(_operand_bytes(self.req)))
+        self.world.engine.schedule(integ.config.retransmit_delay, self.deliver)
+
+    def report_loss(self, fault) -> None:
+        # Request lost before the op was applied — retry-safe: the
+        # fetch_add/swap never happened at the target.
+        self._return_credit()
+        self.ctx.post(CompletionItem(self.req.event, fault))
+
+    def hw_service(self, done: float) -> None:
+        """What-if hardware path: the target NIC applies the op directly,
+        serialized only by the NIC's AMO pipeline — no software progress."""
+        world, req = self.world, self.req
+        if not _flt.alive(world, req.dst, self.dst_inc):
+            _flt.post_error(self.ctx, req.event, _flt.Failure(req.dst))
+            return
+        if self._verdict(self.wire) == "corrupt":
+            # NIC checksum reject: surfaced as a transient loss (retry-safe
+            # — the op was never applied).
+            _flt.post_error(
+                self.ctx, req.event,
+                _flt.TransientFault("integrity", req.src, req.dst),
+            )
+            return
+        obs = world.obs
+        if obs is not None:
+            sid = obs.record(
+                req.dst, "net", "amo_service", f"nic_rmw.{req.op}",
+                done - NIC_AMO_SERVICE, done, parent_id=self.parent_span,
+                src=req.src,
+            )
+            obs.register_event(req.event, sid)
+        old = _apply(world, self.wire)
+        hops = world.network.hops(req.dst, req.src)
+        self.ctx.complete_after(hops * world.params.hop_latency, req.event, old)
+
+    def deliver(self, _arg) -> None:
+        """Software path: one delivery attempt into the target's queue."""
+        world, req = self.world, self.req
+        if not _flt.alive(world, req.src, self.src_inc):
+            # Dead-incarnation request: the initiator's state was rolled
+            # back, so applying the op would double-count on replay.
+            world.trace.incr("pami.stale_deliveries_dropped")
+            self._return_credit()
+            return
+        if not _flt.alive(world, req.dst, self.dst_inc):
+            self._return_credit()
+            _flt.post_error(self.ctx, req.event, _flt.Failure(req.dst))
+            return
+        self.attempts += 1
+        cur = self.wire if self.attempts == 1 else req
+        integ = world.integrity
+        budget = integ.config.max_retransmits if integ is not None else 0
+        net = world.network
+        if 1 < self.attempts <= budget and self.link_mode:
+            # Retransmits re-roll the wire over the *current* route; the
+            # attempt past the budget goes out clean (bounded loss).
+            fault, corruption, _ = _flt.transfer_fate(
+                None, net, req.src, req.dst, "rmw", True
+            )
+            if fault is not None:
+                self._retransmit()
+                return
+            if corruption is not None:
+                cur = _corrupted(req, corruption)
+        verdict = self._verdict(cur)
+        if verdict == "corrupt":
+            if self.attempts > budget or (
+                self.link_mode and net.route_blocked(req.src, req.dst)
+            ):
+                # Out of transport budget: hand the op back to the ARMCI
+                # retry layer (retry-safe — never applied).
+                world.trace.incr("armci.integrity.aborted")
+                self._return_credit()
+                _flt.post_error(
+                    self.ctx, req.event,
+                    _flt.TransientFault("integrity", req.src, req.dst),
+                )
+                return
+            self._retransmit()
+            return
+        if verdict == "duplicate":
+            self._return_credit()
+            return
+        # Resolve at delivery time (a respawned target has a fresh client).
+        world.client(req.dst).request_context(self.target_context).post(
+            RmwItem(
+                cur, req.src, world.engine.now, credited=self.credited,
+                parent_span=self.parent_span, src_inc=self.src_inc,
+            )
+        )
+
+
+def _corrupted(req: "_RmwRequest", corruption) -> "_RmwRequest":
+    """``req`` with the bit ``corruption`` flips applied to its operand."""
+    return dataclasses.replace(
+        req, operand=corrupt_int(req.operand, corruption.bit)
+    )
 
 
 def rmw(
@@ -198,6 +335,9 @@ def rmw(
         (default) follows ``world.nic_amo_support``. Backends with a
         *partial* native AMO set (MPI-3) route each opcode accordingly.
 
+    Chaos RNG draw order, a replay contract: the unordered jitter, then
+    the fault roll.
+
     Returns
     -------
     RmwOp
@@ -211,193 +351,38 @@ def rmw(
     engine = world.engine
     event = engine.event(f"rmw.{op}.{src}->{dst_rank}")
     req = _RmwRequest(op, src, dst_rank, addr, operand, operand2, event, ctx.index)
-    arrive = world.network.packet_arrival(src, dst_rank)
+    net = world.network
+    arrive = net.packet_arrival(src, dst_rank)
     now = engine.now
     world.trace.incr("pami.rmw_posted")
     obs = world.obs
     # Snapshot the initiator's ambient span at post time: by the time the
     # target services the request the initiator's stack may have moved.
     parent_span = obs.current(src) if obs is not None else None
-
-    src_inc = world.incarnations[src]
-    dst_inc = world.incarnations[dst_rank]
-
-    def _return_credit() -> None:
-        # Credits belong to the incarnation they were acquired against; a
-        # respawned target's fresh context must not be over-credited.
-        if credited and world.incarnations[dst_rank] == dst_inc:
-            world.client(dst_rank).progress_context().release_credit()
+    flight = _RmwFlight(ctx, world, req, credited, parent_span, target_context)
 
     chaos = world.chaos
-    integ = world.integrity
-    net = world.network
     link_mode = net.route_table is not None and not net.is_local(src, dst_rank)
-    fault = None
-    corruption = None
-    chaos_fault = False
+    flight.link_mode = link_mode
     if chaos is not None:
         # AMOs are unordered (Section III-A.4): unclamped jitter.
         arrive = chaos.unordered_deliver(src, dst_rank, arrive)
-        outcome = chaos.transfer_fault(src, dst_rank, "rmw")
-        if isinstance(outcome, PayloadCorruption):
-            corruption = outcome
-        else:
-            fault = outcome
-            chaos_fault = fault is not None
-    if fault is None and corruption is None and link_mode:
-        wire = net.wire_fate(src, dst_rank, "rmw")
-        if wire is not None:
-            if wire[0] == "dropped":
-                fault = _flt.TransientFault("link_dead", src, dst_rank)
-            else:
-                corruption = wire[1]
-    if fault is not None:
-        # Request lost before the op was applied — retry-safe: the
-        # fetch_add/swap never happened at the target.
-        detect = (
-            chaos.config.detect_delay if chaos_fault else _flt.FAULT_DETECT_DELAY
-        )
-
-        def report_loss(_a) -> None:
-            _return_credit()
-            ctx.post(CompletionItem(event, fault))
-
-        engine.schedule(arrive + detect - now, report_loss)
-        return RmwOp(op, src, dst_rank, addr, event)
-    protection = (
-        integ.protect(src, dst_rank, _operand_bytes(req))
-        if integ is not None
-        else None
+    fault, corruption, detect = _flt.transfer_fate(
+        chaos, net, src, dst_rank, "rmw", link_mode
     )
-    budget = integ.config.max_retransmits if integ is not None else 0
-    # The request as the wire delivers it on the first attempt.
-    req_wire = req
+    if fault is not None:
+        engine.schedule(arrive + detect - now, flight.report_loss, fault)
+        return RmwOp(op, src, dst_rank, addr, event)
+    integ = world.integrity
+    if integ is not None:
+        flight.protection = integ.protect(src, dst_rank, _operand_bytes(req))
     if corruption is not None:
-        req_wire = dataclasses.replace(
-            req, operand=corrupt_int(req.operand, corruption.bit)
-        )
+        flight.wire = _corrupted(req, corruption)
 
     use_nic = world.nic_amo_support if nic is None else nic
     if use_nic:
-        # What-if hardware path: the target NIC applies the op directly,
-        # serialized only by the NIC's AMO pipeline — no software progress.
         done = world.nic_amo_slot(dst_rank, arrive, NIC_AMO_SERVICE)
-
-        def hw_service(_arg) -> None:
-            if world.is_failed(dst_rank) or world.incarnations[dst_rank] != dst_inc:
-                engine.schedule(
-                    _flt.FAULT_DETECT_DELAY,
-                    lambda _a: ctx.post(
-                        CompletionItem(event, _flt.Failure(dst_rank))
-                    ),
-                )
-                return
-            if protection is not None:
-                verdict = integ.verify(
-                    src, dst_rank, protection[0], protection[1],
-                    _operand_bytes(req_wire),
-                )
-                if verdict == "corrupt":
-                    # NIC checksum reject: surfaced as a transient loss
-                    # (retry-safe — the op was never applied).
-                    engine.schedule(
-                        _flt.FAULT_DETECT_DELAY,
-                        lambda _a: ctx.post(CompletionItem(
-                            event,
-                            _flt.TransientFault("integrity", src, dst_rank),
-                        )),
-                    )
-                    return
-            elif req_wire is not req:
-                world.trace.incr("pami.silent_corruptions")
-            if obs is not None:
-                sid = obs.record(
-                    dst_rank, "net", "amo_service", f"nic_rmw.{req.op}",
-                    done - NIC_AMO_SERVICE, done, parent_id=parent_span,
-                    src=req.src,
-                )
-                obs.register_event(event, sid)
-            old = _apply(world, req_wire)
-            hops = world.network.hops(dst_rank, src)
-            engine.schedule(
-                hops * world.params.hop_latency,
-                lambda _a: ctx.post(CompletionItem(event, old)),
-            )
-
-        engine.schedule(done - now, hw_service)
-        return RmwOp(op, src, dst_rank, addr, event)
-
-    attempts = [0]
-
-    def deliver(_arg) -> None:
-        if world.is_failed(src) or world.incarnations[src] != src_inc:
-            # Dead-incarnation request: the initiator's state was rolled
-            # back, so applying the op would double-count on replay.
-            world.trace.incr("pami.stale_deliveries_dropped")
-            _return_credit()
-            return
-        if world.is_failed(dst_rank) or world.incarnations[dst_rank] != dst_inc:
-            _return_credit()
-            engine.schedule(
-                _flt.FAULT_DETECT_DELAY,
-                lambda _a: ctx.post(CompletionItem(event, _flt.Failure(dst_rank))),
-            )
-            return
-        attempts[0] += 1
-        cur = req_wire if attempts[0] == 1 else req
-        if 1 < attempts[0] <= budget and link_mode:
-            # Retransmits re-roll the wire over the *current* route; the
-            # attempt past the budget goes out clean (bounded loss).
-            wire = net.wire_fate(src, dst_rank, "rmw")
-            if wire is not None:
-                if wire[0] == "dropped":
-                    integ.count_retransmit(len(_operand_bytes(req)))
-                    engine.schedule(integ.config.retransmit_delay, deliver)
-                    return
-                cur = dataclasses.replace(
-                    req, operand=corrupt_int(req.operand, wire[1].bit)
-                )
-        if protection is not None:
-            verdict = integ.verify(
-                src, dst_rank, protection[0], protection[1], _operand_bytes(cur)
-            )
-            if verdict == "corrupt":
-                if attempts[0] > budget or (
-                    link_mode and net.route_blocked(src, dst_rank)
-                ):
-                    # Out of transport budget: hand the op back to the
-                    # ARMCI retry layer (retry-safe — never applied).
-                    world.trace.incr("armci.integrity.aborted")
-                    _return_credit()
-                    engine.schedule(
-                        _flt.FAULT_DETECT_DELAY,
-                        lambda _a: ctx.post(CompletionItem(
-                            event,
-                            _flt.TransientFault("integrity", src, dst_rank),
-                        )),
-                    )
-                    return
-                integ.count_retransmit(len(_operand_bytes(req)))
-                engine.schedule(integ.config.retransmit_delay, deliver)
-                return
-            if verdict == "duplicate":
-                _return_credit()
-                return
-        elif cur is not req:
-            # No integrity layer: the corrupted operand applies silently.
-            world.trace.incr("pami.silent_corruptions")
-        # Resolve at delivery time (a respawned target has a fresh client).
-        target_client = world.client(dst_rank)
-        if target_context is not None:
-            dst_ctx = target_client.context(target_context)
-        else:
-            dst_ctx = target_client.progress_context()
-        dst_ctx.post(
-            RmwItem(
-                cur, src, engine.now, credited=credited,
-                parent_span=parent_span, src_inc=src_inc,
-            )
-        )
-
-    engine.schedule(arrive - now, deliver)
+        engine.schedule(done - now, flight.hw_service, done)
+    else:
+        engine.schedule(arrive - now, flight.deliver)
     return RmwOp(op, src, dst_rank, addr, event)

@@ -86,6 +86,11 @@ class PamiClient:
             raise PamiError(f"rank {self.rank} has no contexts")
         return self.contexts[-1]
 
+    def request_context(self, index: int | None) -> PamiContext:
+        """The context a remote request lands on: context ``index`` when
+        given, else the progress context."""
+        return self.progress_context() if index is None else self.context(index)
+
     def register_dispatch(self, dispatch_id: int, handler: AmHandler) -> None:
         """Register an active-message handler (like ``PAMI_Dispatch_set``).
 

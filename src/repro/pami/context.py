@@ -155,6 +155,11 @@ class PamiContext:
         if not self._arrival.triggered:
             self._arrival.succeed()
 
+    def complete_after(self, delay: float, event: Event, value: Any = None) -> None:
+        """Post ``event``'s completion with ``value`` after ``delay``: a
+        hardware completion, reply or ack still on its way here."""
+        self.engine.schedule(delay, self.post, CompletionItem(event, value))
+
     def arrival_signal(self) -> Event:
         """An event that triggers at the next :meth:`post`.
 

@@ -25,6 +25,13 @@ Collectives involving a failed rank no longer hang: the ARMCI layer's
 epoch-based liveness detection (:mod:`repro.armci.collectives`) fails
 the survivors' barrier events with :class:`Failure` after the detection
 delay.
+
+Every wire primitive (RDMA put/get, active messages, AMOs) produces and
+checks these tokens through the same small helpers: :func:`transfer_fate`
+rolls what the wire does to a transfer, :func:`verdict` checks what
+arrived, :func:`post_error` reports a token to the initiator after the
+detection delay, and :func:`alive` checks a rank's liveness and
+incarnation at delivery time.
 """
 
 from __future__ import annotations
@@ -83,6 +90,66 @@ def check_completion(value, op: str | None = None):
     return value
 
 
+def transfer_fate(chaos, net, src: int, dst: int, kind: str, link_mode: bool):
+    """Roll one transfer's fate: the chaos dice, then the link model.
+
+    Returns ``(fault, corruption, detect)``: a :class:`TransientFault` if
+    the transfer is lost, a
+    :class:`~repro.pami.integrity.PayloadCorruption` if it arrives with a
+    flipped bit (at most one of the two is set), and the delay after
+    which the initiator NIC notices a loss. Pass ``chaos=None`` to roll
+    the link alone (transport retransmits); ``link_mode`` is true for
+    inter-node transfers on a fault-aware network.
+    """
+    fault = corruption = None
+    detect = FAULT_DETECT_DELAY
+    if chaos is not None:
+        outcome = chaos.transfer_fault(src, dst, kind)
+        if isinstance(outcome, TransientFault):
+            fault = outcome
+            detect = chaos.config.detect_delay
+        else:
+            corruption = outcome
+    if link_mode and fault is None and corruption is None:
+        wire = net.wire_fate(src, dst, kind)
+        if wire is not None:
+            if wire[0] == "dropped":
+                fault = TransientFault("link_dead", src, dst)
+            else:
+                corruption = wire[1]
+    return fault, corruption, detect
+
+
+def verdict(world, protection, src: int, dst: int, payload, damaged: bool) -> str:
+    """Integrity verdict on one delivered copy: ``"ok"``, ``"corrupt"``
+    (discard and retransmit) or ``"duplicate"`` (discard).
+
+    ``protection`` is the ``(seq, checksum)`` tag the sender attached, or
+    None with integrity off, when a ``damaged`` copy lands silently.
+    """
+    if protection is None:
+        if damaged:
+            world.trace.incr("pami.silent_corruptions")
+        return "ok"
+    return world.integrity.verify(src, dst, protection[0], protection[1], payload)
+
+
+def post_error(ctx, event: Event, token, delay: float = FAULT_DETECT_DELAY) -> None:
+    """Complete ``event`` on ``ctx`` with an error ``token`` after ``delay``
+    (the initiator NIC's timeout / error-completion path)."""
+    ctx.complete_after(delay, event, token)
+
+
+def alive(world, rank: int, incarnation: int) -> bool:
+    """Whether ``rank`` is up and still on ``incarnation``.
+
+    Traffic posted to or from an incarnation that has since died is
+    discarded at delivery: a respawned rank has fresh memory, and a dead
+    source's writes must not land after the survivors rolled back.
+    """
+    return not world.is_failed(rank) and world.incarnations[rank] == incarnation
+
+
 #: Header keys that carry reply cookies (events the initiator waits on).
 REPLY_KEYS = ("event", "ack", "grant", "reply")
 
@@ -127,15 +194,8 @@ def fail_reply_cookies(world, envelope, token, delay=FAULT_DETECT_DELAY) -> int:
     """
     pending: list = []
     _collect_reply_cookies(envelope.header, None, pending)
-    if not pending:
-        return 0
-    from .context import CompletionItem
-
     for reply_ctx, cookie in pending:
-        world.engine.schedule(
-            delay,
-            lambda _a, c=reply_ctx, ev=cookie: c.post(CompletionItem(ev, token)),
-        )
+        reply_ctx.complete_after(delay, cookie, token)
     return len(pending)
 
 

@@ -1,4 +1,4 @@
-"""RDMA put/get primitives.
+"""RDMA put/get: one delivery path per primitive.
 
 RDMA data movement never touches the target's progress engine — the target
 NIC serves reads and writes directly (Section III-C.1). That property is
@@ -10,20 +10,29 @@ hardware completion time but only *dispatched* when a thread advances the
 issuing context (:class:`~repro.pami.context.CompletionItem`), matching
 PAMI's completion semantics.
 
-Fault layers (both default-off):
+Every put and get runs one body. The caller supplies payload capture and
+landing — a contiguous snapshot and ``write_into`` by default, a gather
+and scatter over a chunk lattice or segment list for typed and aggregate
+transfers — so all of them get the same fault handling. The three fault
+layers are fixed, and each is one ``None`` check when off:
 
-* **Link faults** — when the network runs a fault-aware
-  :class:`~repro.topology.routing.RouteTable`, every remote transfer asks
-  :meth:`~repro.machine.network.TorusNetwork.wire_fate` what the wire did
-  to it: a hop on a dead/lossy link drops it (surfaced like a chaos loss:
-  the initiator NIC times out and the ARMCI retry layer re-issues), a hop
-  on a corrupting link flips one payload bit.
-* **End-to-end integrity** — with ``world.integrity`` installed, every
-  transfer carries a CRC32 + sequence number, verified at delivery.
-  Corrupted deliveries are discarded and retransmitted transparently
-  (over the *current* route, so a link the health monitor has since
-  marked suspect is avoided); drops keep the initiator-timeout path,
-  which already detects them. Put acks then certify *verified* delivery.
+* **Chaos** (``world.chaos``) — drop/corruption dice and jitter. Chaos
+  RNG draw order is a replay contract: a put rolls its fault, then its
+  ordered (per-pair monotone) jitter; a get its fault, then unordered
+  jitter.
+* **Link faults** (``network.route_table``) — each inter-node transfer
+  asks :meth:`~repro.machine.network.TorusNetwork.wire_fate` whether a
+  dead/lossy hop dropped it or a corrupting hop flipped a payload bit.
+* **Integrity** (``world.integrity``) — a CRC32 + sequence number per
+  transfer, verified at delivery; corrupted copies are retransmitted
+  transparently over the *current* route, and put acks certify verified
+  delivery. Drops keep the initiator-timeout path.
+
+Each transfer's in-flight state is one ``__slots__`` object whose bound
+methods the engine schedules: no reference cycles, so a finished op is
+freed by reference counting. With every layer off a put schedules three
+engine events (delivery, local completion, remote ack if asked for) and
+a get two (NIC read, completion).
 """
 
 from __future__ import annotations
@@ -35,7 +44,6 @@ from ..machine.network import TransferTiming
 from ..sim.event import Event
 from . import faults as _flt
 from .context import CompletionItem, PamiContext
-from .integrity import PayloadCorruption
 
 
 @dataclass(frozen=True)
@@ -69,6 +77,111 @@ class RmaOp:
     timing: TransferTiming
 
 
+class _PutFlight:
+    """One put in flight, from first delivery to verified landing."""
+
+    __slots__ = (
+        "ctx", "world", "src", "dst", "remote_addr", "nbytes", "data", "land",
+        "remote_ack", "src_inc", "dst_inc", "link_mode", "fault",
+        "corruption", "protection", "retries",
+    )
+
+    def __init__(self, ctx, dst, remote_addr, nbytes, data, land, remote_ack):
+        world = ctx.client.world
+        self.ctx = ctx
+        self.world = world
+        self.src = ctx.client.rank
+        self.dst = dst
+        self.remote_addr = remote_addr
+        self.nbytes = nbytes
+        self.data = data
+        self.land = land
+        self.remote_ack = remote_ack
+        self.src_inc = world.incarnations[self.src]
+        self.dst_inc = world.incarnations[dst]
+        self.protection = None
+        self.retries = 0
+
+    def deliver(self, _arg) -> None:
+        """One delivery attempt: the first at post time, then retransmits."""
+        if self.fault is not None:
+            return  # lost in transit
+        world, src, dst = self.world, self.src, self.dst
+        if not _flt.alive(world, dst, self.dst_inc):
+            if world.incarnations[dst] != self.dst_inc:
+                world.trace.incr("pami.stale_deliveries_dropped")
+            if self.protection is not None and self.remote_ack is not None:
+                self.ack(None)  # no verified ack will follow: fail it now
+            return
+        if not _flt.alive(world, src, self.src_inc):
+            world.trace.incr("pami.stale_deliveries_dropped")
+            return
+        corruption = self.corruption
+        if self.retries and self.link_mode:
+            # Retransmits re-roll the link over the current route; the
+            # final one goes out clean unless no path is left at all.
+            net = world.network
+            if self.retries < world.integrity.config.max_retransmits:
+                fault, corruption, _ = _flt.transfer_fate(
+                    None, net, src, dst, "put", True
+                )
+                if fault is not None:
+                    self._retransmit()
+                    return
+            elif net.route_blocked(src, dst):
+                self._retransmit()  # out of budget: gives up
+                return
+        payload = self.data if corruption is None else corruption.apply(self.data)
+        verdict = _flt.verdict(
+            world, self.protection, src, dst, payload, corruption is not None
+        )
+        if verdict == "corrupt":
+            self._retransmit()
+            return
+        if verdict == "duplicate":
+            return
+        if self.land is None:
+            world.space(dst).write_into(self.remote_addr, payload)
+        else:
+            self.land(world.space(dst), payload)
+        if self.protection is not None and self.remote_ack is not None:
+            # Verified delivery: only now does the ack leave the target.
+            world.engine.schedule(world.network.hop_cost(src, dst), self.ack)
+
+    def ack(self, _arg) -> None:
+        if _flt.alive(self.world, self.dst, self.dst_inc):
+            self.ctx.post(CompletionItem(self.remote_ack))
+        else:
+            _flt.post_error(self.ctx, self.remote_ack, _flt.Failure(self.dst))
+
+    def _retransmit(self) -> None:
+        world = self.world
+        integ = world.integrity
+        if self.retries >= integ.config.max_retransmits:
+            # The write is lost: the fence sees a transient ack, like a
+            # chaos loss (escalating to rank death when the target is cut
+            # off everywhere is the health monitor's job).
+            world.trace.incr("armci.integrity.aborted")
+            if self.remote_ack is not None:
+                _flt.post_error(
+                    self.ctx, self.remote_ack,
+                    _flt.TransientFault("integrity_exhausted", self.src, self.dst),
+                )
+            return
+        self.retries += 1
+        self.corruption = None
+        integ.count_retransmit(self.nbytes)
+        base = world.engine.now
+        t2 = world.network.put_timing(self.src, self.dst, self.nbytes)
+        delay = integ.config.retransmit_delay + (t2.deliver - base)
+        if world.obs is not None:
+            world.obs.record(
+                self.src, "net", "integrity", "put.retransmit", base,
+                base + delay, dst=self.dst, nbytes=self.nbytes,
+            )
+        world.engine.schedule(delay, self.deliver)
+
+
 def rdma_put(
     ctx: PamiContext,
     dst_rank: int,
@@ -77,6 +190,11 @@ def rdma_put(
     nbytes: int,
     want_remote_ack: bool = False,
     extra_occupancy: float = 0.0,
+    *,
+    data=None,
+    land=None,
+    span: str = "rdma_put",
+    **span_attrs,
 ) -> RmaOp:
     """Post a non-blocking RDMA put from ``ctx``'s process to ``dst_rank``.
 
@@ -84,109 +202,20 @@ def rdma_put(
     semantics: the buffer is logically owned by the runtime until local
     completion, and the paper notes put therefore needs no fall-back).
 
-    With chaos, link faults, and integrity all off, the fast path below
-    is the whole story; any of them armed delegates to the featureful
-    (and closure-heavy) :func:`_rdma_put_robust`, keeping the hot path's
-    per-op cost at the seed's level.
+    Typed transfers pass the captured ``data`` (a private uint8 buffer of
+    ``nbytes``) and ``land(space, payload)``, which writes it into the
+    target's address space, and name their obs span with ``span`` and
+    ``span_attrs``. Only default-landing puts count as
+    ``pami.rdma_puts``; typed ones have their own ARMCI counters.
     """
     world = ctx.client.world
-    if (
-        world.chaos is not None
-        or world.integrity is not None
-        or world.network.route_table is not None
-    ):
-        return _rdma_put_robust(
-            ctx, dst_rank, local_addr, remote_addr, nbytes,
-            want_remote_ack, extra_occupancy,
-        )
     src = ctx.client.rank
     if nbytes <= 0:
         raise PamiError(f"put size must be positive, got {nbytes}")
-    # Private uint8 snapshot (capture semantics); landing it below is a
-    # single view-assign — no bytes materialization on either side.
-    data = world.space(src).snapshot(local_addr, nbytes)
-    network = world.network
-    timing = network.put_timing(src, dst_rank, nbytes, extra_occupancy)
-    engine = world.engine
-    now = engine.now
-
-    local_event = engine.event(f"put.local.{src}->{dst_rank}")
-    remote_ack = (
-        engine.event(f"put.rack.{src}->{dst_rank}") if want_remote_ack else None
-    )
-
-    deliver_at = timing.deliver
-    world.ordering.record(src, dst_rank, deliver_at)
-    src_inc = world.incarnations[src]
-    dst_inc = world.incarnations[dst_rank]
-
-    def deliver(_arg) -> None:
-        if world.is_failed(dst_rank):
-            return  # dropped at the dead NIC
-        if (
-            world.incarnations[dst_rank] != dst_inc
-            or world.is_failed(src)
-            or world.incarnations[src] != src_inc
-        ):
-            # Traffic from or to a dead incarnation: a respawned target
-            # has fresh memory (the old registration is gone) and a dead
-            # source's writes must not land after the survivors rolled
-            # back — either way the NIC discards the packet.
-            world.trace.incr("pami.stale_deliveries_dropped")
-            return
-        world.space(dst_rank).write_into(remote_addr, data)
-
-    engine.schedule(deliver_at - now, deliver)
-    engine.schedule(
-        timing.complete - now,
-        lambda _arg: ctx.post(CompletionItem(local_event)),
-    )
-    if remote_ack is not None:
-        hops = network.hops(src, dst_rank)
-        ack_arrive = deliver_at + hops * world.params.hop_latency
-
-        def ack(_arg) -> None:
-            if world.is_failed(dst_rank) or world.incarnations[dst_rank] != dst_inc:
-                engine.schedule(
-                    _flt.FAULT_DETECT_DELAY,
-                    lambda _a: ctx.post(
-                        CompletionItem(remote_ack, _flt.Failure(dst_rank))
-                    ),
-                )
-            else:
-                ctx.post(CompletionItem(remote_ack))
-
-        engine.schedule(ack_arrive - now, ack)
-    world.trace.incr("pami.rdma_puts")
-    obs = world.obs
-    if obs is not None:
-        sid = obs.record(
-            src, "net", "rdma", "rdma_put", now, timing.complete,
-            dst=dst_rank, nbytes=nbytes,
-        )
-        obs.register_event(local_event, sid)
-        if remote_ack is not None:
-            obs.register_event(remote_ack, sid)
-    return RmaOp("put", src, dst_rank, nbytes, local_event, remote_ack, timing)
-
-
-def _rdma_put_robust(
-    ctx: PamiContext,
-    dst_rank: int,
-    local_addr: int,
-    remote_addr: int,
-    nbytes: int,
-    want_remote_ack: bool = False,
-    extra_occupancy: float = 0.0,
-) -> RmaOp:
-    """:func:`rdma_put` with chaos / link faults / integrity armed."""
-    world = ctx.client.world
-    src = ctx.client.rank
-    if nbytes <= 0:
-        raise PamiError(f"put size must be positive, got {nbytes}")
-    # Private uint8 snapshot (capture semantics); landing it below is a
-    # single view-assign — no bytes materialization on either side.
-    data = world.space(src).snapshot(local_addr, nbytes)
+    if data is None:
+        # Private uint8 snapshot (capture semantics); landing it is a
+        # single view-assign — no bytes materialization on either side.
+        data = world.space(src).snapshot(local_addr, nbytes)
     net = world.network
     timing = net.put_timing(src, dst_rank, nbytes, extra_occupancy)
     engine = world.engine
@@ -196,180 +225,170 @@ def _rdma_put_robust(
     remote_ack = (
         engine.event(f"put.rack.{src}->{dst_rank}") if want_remote_ack else None
     )
-
+    flight = _PutFlight(ctx, dst_rank, remote_addr, nbytes, data, land, remote_ack)
     chaos = world.chaos
-    integ = world.integrity
     link_mode = net.route_table is not None and not net.is_local(src, dst_rank)
+    fault, flight.corruption, detect = _flt.transfer_fate(
+        chaos, net, src, dst_rank, "put", link_mode
+    )
+    flight.fault, flight.link_mode = fault, link_mode
     deliver_at = timing.deliver
-    fault = None
-    corruption = None
-    chaos_fault = False
     if chaos is not None:
-        outcome = chaos.transfer_fault(src, dst_rank, "put")
-        if isinstance(outcome, PayloadCorruption):
-            corruption = outcome
-        else:
-            fault = outcome
-            chaos_fault = fault is not None
-        deliver_at = chaos.ordered_deliver(src, dst_rank, timing.deliver)
-    if fault is None and corruption is None and link_mode:
-        wire = net.wire_fate(src, dst_rank, "put")
-        if wire is not None:
-            if wire[0] == "dropped":
-                fault = _flt.TransientFault("link_dead", src, dst_rank)
-            else:
-                corruption = wire[1]
+        deliver_at = chaos.ordered_deliver(src, dst_rank, deliver_at)
     if link_mode:
         # Reroutes can shorten paths mid-stream; ordered traffic stays
         # monotone per pair (head-of-line blocking on the new route).
         deliver_at = net.ordered_deliver(src, dst_rank, deliver_at)
     world.ordering.record(src, dst_rank, deliver_at)
-    src_inc = world.incarnations[src]
-    dst_inc = world.incarnations[dst_rank]
-    detect = (
-        chaos.config.detect_delay if chaos_fault else _flt.FAULT_DETECT_DELAY
-    )
-    protection = integ.protect(src, dst_rank, data) if integ is not None else None
-    budget = integ.config.max_retransmits if integ is not None else 0
-    state = {"retries": 0}
-    obs = world.obs
+    if world.integrity is not None:
+        flight.protection = world.integrity.protect(src, dst_rank, data)
 
-    def ack(_arg) -> None:
-        if world.is_failed(dst_rank) or world.incarnations[dst_rank] != dst_inc:
-            engine.schedule(
-                _flt.FAULT_DETECT_DELAY,
-                lambda _a: ctx.post(
-                    CompletionItem(remote_ack, _flt.Failure(dst_rank))
-                ),
-            )
-        else:
-            ctx.post(CompletionItem(remote_ack))
-
-    def give_up() -> None:
-        # Retransmit budget exhausted with the target unreachable on
-        # every path. The write is lost; the fence treats the transient
-        # ack like a chaos loss (escalation to rank death — when the
-        # target really is cut off everywhere — is the health monitor's
-        # job, not this transfer's).
-        world.trace.incr("armci.integrity.aborted")
-        if remote_ack is not None:
-            token = _flt.TransientFault("integrity_exhausted", src, dst_rank)
-            engine.schedule(
-                _flt.FAULT_DETECT_DELAY,
-                lambda _a: ctx.post(CompletionItem(remote_ack, token)),
-            )
-
-    def land(corr) -> None:
-        payload = corr.apply(data) if corr is not None else data
-        if protection is not None:
-            verdict = integ.verify(
-                src, dst_rank, protection[0], protection[1], payload
-            )
-            if verdict == "corrupt":
-                retransmit()
-                return
-            if verdict == "duplicate":
-                return
-        elif corr is not None:
-            # No integrity layer: the damaged copy lands silently.
-            world.trace.incr("pami.silent_corruptions")
-        world.space(dst_rank).write_into(remote_addr, payload)
-        if protection is not None and remote_ack is not None:
-            # Verified delivery: only now does the ack leave the target.
-            engine.schedule(net.hop_cost(src, dst_rank), ack)
-
-    def resend(_arg) -> None:
-        if world.is_failed(dst_rank) or world.incarnations[dst_rank] != dst_inc:
-            if remote_ack is not None:
-                ack(None)  # posts the Failure token
-            return
-        if world.is_failed(src) or world.incarnations[src] != src_inc:
-            world.trace.incr("pami.stale_deliveries_dropped")
-            return
-        final = state["retries"] >= budget
-        corr = None
-        if link_mode:
-            if final:
-                if net.route_blocked(src, dst_rank):
-                    give_up()
-                    return
-            else:
-                wire = net.wire_fate(src, dst_rank, "put")
-                if wire is not None:
-                    if wire[0] == "dropped":
-                        retransmit()  # transport-level loss: keep trying
-                        return
-                    corr = wire[1]
-        land(corr)
-
-    def retransmit() -> None:
-        if state["retries"] >= budget:
-            give_up()
-            return
-        state["retries"] += 1
-        integ.count_retransmit(nbytes)
-        t2 = net.put_timing(src, dst_rank, nbytes)
-        base = engine.now
-        delay = integ.config.retransmit_delay + (t2.deliver - base)
-        if obs is not None:
-            obs.record(
-                src, "net", "integrity", "put.retransmit", base, base + delay,
-                dst=dst_rank, nbytes=nbytes,
-            )
-        engine.schedule(delay, resend)
-
-    def deliver(_arg) -> None:
-        if fault is not None:
-            return  # dropped: lost in transit
-        if world.is_failed(dst_rank) or world.incarnations[dst_rank] != dst_inc:
-            if world.incarnations[dst_rank] != dst_inc:
-                world.trace.incr("pami.stale_deliveries_dropped")
-            if protection is not None and remote_ack is not None:
-                ack(None)  # legacy mode schedules the ack separately
-            return
-        if world.is_failed(src) or world.incarnations[src] != src_inc:
-            # Traffic from a dead incarnation must not land after the
-            # survivors rolled back — the NIC discards the packet.
-            world.trace.incr("pami.stale_deliveries_dropped")
-            return
-        land(corruption)
-
-    engine.schedule(deliver_at - now, deliver)
-    if fault is not None:
+    engine.schedule(deliver_at - now, flight.deliver)
+    if fault is None:
+        ctx.complete_after(timing.complete - now, local_event)
+    else:
         # The initiator NIC misses the end-to-end delivery confirmation
         # and reports an error completion on the op after its timeout.
-        engine.schedule(
-            timing.complete + detect - now,
-            lambda _arg: ctx.post(CompletionItem(local_event, fault)),
-        )
-    else:
-        engine.schedule(
-            timing.complete - now,
-            lambda _arg: ctx.post(CompletionItem(local_event)),
-        )
+        _flt.post_error(ctx, local_event, fault, timing.complete + detect - now)
     if remote_ack is not None:
-        if protection is None:
-            # Seed behaviour: the ack rides the NIC-reliable path and is
-            # scheduled unconditionally at post time.
-            engine.schedule(deliver_at + net.hop_cost(src, dst_rank) - now, ack)
-        elif fault is not None:
-            # Lost write: the fence must not hang on this ack, and must
-            # not count it — the local completion already surfaced the
-            # fault (and ARMCI re-issued the op).
+        if flight.protection is None:
+            # The ack rides the NIC-reliable path, scheduled at post time.
             engine.schedule(
-                timing.complete + detect - now,
-                lambda _a: ctx.post(CompletionItem(remote_ack, fault)),
+                deliver_at + net.hop_cost(src, dst_rank) - now, flight.ack
             )
-    world.trace.incr("pami.rdma_puts")
+        elif fault is not None:
+            # Lost write: the fence must not hang on the ack, nor count
+            # it — the local completion already surfaced the fault.
+            _flt.post_error(ctx, remote_ack, fault, timing.complete + detect - now)
+    if land is None:
+        world.trace.incr("pami.rdma_puts")
+    obs = world.obs
     if obs is not None:
         sid = obs.record(
-            src, "net", "rdma", "rdma_put", now, timing.complete,
-            dst=dst_rank, nbytes=nbytes,
+            src, "net", "rdma", span, now, timing.complete,
+            dst=dst_rank, nbytes=nbytes, **span_attrs,
         )
         obs.register_event(local_event, sid)
         if remote_ack is not None:
             obs.register_event(remote_ack, sid)
     return RmaOp("put", src, dst_rank, nbytes, local_event, remote_ack, timing)
+
+
+class _GetFlight:
+    """One get in flight: a request/response round, repeated on retransmit.
+
+    Rounds never overlap (a retransmit starts from the previous round's
+    completion), so the current round's state lives on the flight.
+    """
+
+    __slots__ = (
+        "ctx", "world", "src", "dst", "remote_addr", "local_addr", "nbytes",
+        "read", "land", "local_event", "dst_inc", "link_mode", "retries",
+        "loss", "loss_delay", "transparent", "corruption", "snapshot",
+        "protection",
+    )
+
+    def __init__(self, ctx, dst, remote_addr, local_addr, nbytes, read, land):
+        world = ctx.client.world
+        self.ctx = ctx
+        self.world = world
+        self.src = ctx.client.rank
+        self.dst = dst
+        self.remote_addr = remote_addr
+        self.local_addr = local_addr
+        self.nbytes = nbytes
+        self.read = read
+        self.land = land
+        self.dst_inc = world.incarnations[dst]
+        self.protection = None
+        self.retries = 0
+
+    def round(self, read_dt, complete_dt, corruption, loss, loss_delay):
+        """Schedule one round; ``loss`` is its in-transit fault token (None
+        = the wire was clean). Retransmit rounds before the last retry a
+        loss transparently instead of surfacing it."""
+        self.corruption, self.loss, self.loss_delay = corruption, loss, loss_delay
+        self.snapshot = None
+        self.world.engine.schedule(read_dt, self.read_remote)
+        self.world.engine.schedule(complete_dt, self.complete)
+
+    def read_remote(self, _arg) -> None:
+        # A respawned target's fresh space has no registration at the old
+        # address: the read misses and the op completes with a Failure
+        # token, exactly like a read served by a dead NIC.
+        world = self.world
+        if self.loss is None and _flt.alive(world, self.dst, self.dst_inc):
+            space = world.space(self.dst)
+            if self.read is None:
+                self.snapshot = space.snapshot(self.remote_addr, self.nbytes)
+            else:
+                self.snapshot = self.read(space)
+            if world.integrity is not None:
+                # Reply flow runs target -> initiator.
+                self.protection = world.integrity.protect(
+                    self.dst, self.src, self.snapshot
+                )
+
+    def complete(self, _arg) -> None:
+        world, snapshot, corruption = self.world, self.snapshot, self.corruption
+        if snapshot is None:
+            if self.loss is None:  # dead target NIC (fail-stop)
+                _flt.post_error(self.ctx, self.local_event, _flt.Failure(self.dst))
+            elif self.transparent:
+                self._retransmit()
+            else:
+                _flt.post_error(self.ctx, self.local_event, self.loss, self.loss_delay)
+            return
+        payload = snapshot if corruption is None else corruption.apply(snapshot)
+        verdict = _flt.verdict(
+            world, self.protection, self.dst, self.src, payload,
+            corruption is not None,
+        )
+        if verdict == "corrupt":
+            self._retransmit()
+        elif verdict == "ok":
+            if self.land is None:
+                world.space(self.src).write_into(self.local_addr, payload)
+            else:
+                self.land(world.space(self.src), payload)
+            self.ctx.post(CompletionItem(self.local_event))
+
+    def _retransmit(self) -> None:
+        world = self.world
+        integ = world.integrity
+        budget = integ.config.max_retransmits
+        if self.retries >= budget:
+            world.trace.incr("armci.integrity.aborted")
+            _flt.post_error(
+                self.ctx, self.local_event,
+                _flt.TransientFault("integrity_exhausted", self.src, self.dst),
+            )
+            return
+        self.retries += 1
+        integ.count_retransmit(self.nbytes)
+        self.transparent = self.retries < budget
+        corruption = loss = None
+        net = world.network
+        if self.link_mode:
+            if self.transparent:
+                loss, corruption, _ = _flt.transfer_fate(
+                    None, net, self.src, self.dst, "get", True
+                )
+            elif net.route_blocked(self.src, self.dst):
+                loss = _flt.TransientFault("unreachable", self.src, self.dst)
+        base = world.engine.now
+        t2 = net.get_timing(self.src, self.dst, self.nbytes)
+        delay = integ.config.retransmit_delay
+        if world.obs is not None:
+            world.obs.record(
+                self.src, "net", "integrity", "get.retransmit", base,
+                base + delay + (t2.complete - base),
+                dst=self.dst, nbytes=self.nbytes,
+            )
+        self.round(
+            delay + (t2.deliver - base), delay + (t2.complete - base),
+            corruption, loss, _flt.FAULT_DETECT_DELAY,
+        )
 
 
 def rdma_get(
@@ -379,6 +398,11 @@ def rdma_get(
     local_addr: int,
     nbytes: int,
     extra_occupancy: float = 0.0,
+    *,
+    read=None,
+    land=None,
+    span: str = "rdma_get",
+    **span_attrs,
 ) -> RmaOp:
     """Post a non-blocking RDMA get; target memory is read by its NIC.
 
@@ -386,231 +410,45 @@ def rdma_get(
     at the time the target NIC serves the read (``timing.deliver``), and
     lands in the initiator's memory at ``timing.complete``.
 
-    Same fast-path/robust split as :func:`rdma_put`.
+    Typed transfers pass ``read(space)``, which gathers a private uint8
+    buffer of ``nbytes`` from the target's address space, and
+    ``land(space, payload)``, which scatters it into the initiator's.
+    As with :func:`rdma_put`, only default-landing gets count as
+    ``pami.rdma_gets``.
     """
-    world = ctx.client.world
-    if (
-        world.chaos is not None
-        or world.integrity is not None
-        or world.network.route_table is not None
-    ):
-        return _rdma_get_robust(
-            ctx, dst_rank, remote_addr, local_addr, nbytes, extra_occupancy
-        )
-    src = ctx.client.rank
-    if nbytes <= 0:
-        raise PamiError(f"get size must be positive, got {nbytes}")
-    timing = world.network.get_timing(src, dst_rank, nbytes, extra_occupancy)
-    engine = world.engine
-    now = engine.now
-
-    local_event = engine.event(f"get.local.{src}<-{dst_rank}")
-    snapshot: list = []  # one private uint8 ndarray once the NIC reads
-
-    dst_inc = world.incarnations[dst_rank]
-
-    def read_remote(_arg) -> None:
-        # A respawned target's fresh space has no registration at the old
-        # address: the read misses and the op completes with a Failure
-        # token, exactly like a read served by a dead NIC.
-        if (
-            not world.is_failed(dst_rank)
-            and world.incarnations[dst_rank] == dst_inc
-        ):
-            snapshot.append(world.space(dst_rank).snapshot(remote_addr, nbytes))
-
-    def complete(_arg) -> None:
-        if not snapshot:
-            # Dead target NIC (fail-stop): error completion after the
-            # detection timeout.
-            engine.schedule(
-                _flt.FAULT_DETECT_DELAY,
-                lambda _a: ctx.post(
-                    CompletionItem(local_event, _flt.Failure(dst_rank))
-                ),
-            )
-            return
-        world.space(src).write_into(local_addr, snapshot[0])
-        ctx.post(CompletionItem(local_event))
-
-    engine.schedule(timing.deliver - now, read_remote)
-    engine.schedule(timing.complete - now, complete)
-    world.trace.incr("pami.rdma_gets")
-    obs = world.obs
-    if obs is not None:
-        sid = obs.record(
-            src, "net", "rdma", "rdma_get", now, timing.complete,
-            dst=dst_rank, nbytes=nbytes,
-        )
-        obs.register_event(local_event, sid)
-    return RmaOp("get", src, dst_rank, nbytes, local_event, None, timing)
-
-
-def _rdma_get_robust(
-    ctx: PamiContext,
-    dst_rank: int,
-    remote_addr: int,
-    local_addr: int,
-    nbytes: int,
-    extra_occupancy: float = 0.0,
-) -> RmaOp:
-    """:func:`rdma_get` with chaos / link faults / integrity armed."""
     world = ctx.client.world
     src = ctx.client.rank
     if nbytes <= 0:
         raise PamiError(f"get size must be positive, got {nbytes}")
     net = world.network
     timing = net.get_timing(src, dst_rank, nbytes, extra_occupancy)
-    engine = world.engine
-    now = engine.now
+    now = world.engine.now
 
-    local_event = engine.event(f"get.local.{src}<-{dst_rank}")
-
+    flight = _GetFlight(ctx, dst_rank, remote_addr, local_addr, nbytes, read, land)
+    local_event = flight.local_event = world.engine.event(
+        f"get.local.{src}<-{dst_rank}"
+    )
     chaos = world.chaos
-    integ = world.integrity
     link_mode = net.route_table is not None and not net.is_local(src, dst_rank)
+    fault, corruption, detect = _flt.transfer_fate(
+        chaos, net, src, dst_rank, "get", link_mode
+    )
+    flight.link_mode, flight.transparent = link_mode, False
     deliver_at = timing.deliver
-    fault = None
-    corruption = None
-    chaos_fault = False
     if chaos is not None:
-        outcome = chaos.transfer_fault(src, dst_rank, "get")
-        if isinstance(outcome, PayloadCorruption):
-            corruption = outcome
-        else:
-            fault = outcome
-            chaos_fault = fault is not None
         # Gets bypass the ordering checker (NIC-served reads), so their
         # jitter needs no per-pair clamping.
-        deliver_at = chaos.unordered_deliver(src, dst_rank, timing.deliver)
-    if fault is None and corruption is None and link_mode:
-        wire = net.wire_fate(src, dst_rank, "get")
-        if wire is not None:
-            if wire[0] == "dropped":
-                fault = _flt.TransientFault("link_dead", src, dst_rank)
-            else:
-                corruption = wire[1]
-    dst_inc = world.incarnations[dst_rank]
-    budget = integ.config.max_retransmits if integ is not None else 0
-    state = {"retries": 0}
-    obs = world.obs
-
-    def round_trip(read_dt, complete_dt, corr, loss, loss_delay, transparent):
-        """One request/response round; ``loss`` is the in-transit fault
-        token (None = the wire was clean), ``transparent`` selects the
-        transport-level retry over surfacing the loss to the op."""
-        snap: list = []  # [payload ndarray, (seq, csum)] once the NIC reads
-
-        def read_remote(_arg) -> None:
-            # A respawned target's fresh space has no registration at the
-            # old address: the read misses and the op completes with a
-            # Failure token, exactly like a read served by a dead NIC.
-            if (
-                loss is None
-                and not world.is_failed(dst_rank)
-                and world.incarnations[dst_rank] == dst_inc
-            ):
-                snap.append(world.space(dst_rank).snapshot(remote_addr, nbytes))
-                if integ is not None:
-                    # Reply flow runs target -> initiator.
-                    snap.append(integ.protect(dst_rank, src, snap[0]))
-
-        def complete(_arg) -> None:
-            if not snap:
-                if loss is not None:
-                    if transparent:
-                        retransmit()
-                    else:
-                        engine.schedule(
-                            loss_delay,
-                            lambda _a: ctx.post(CompletionItem(local_event, loss)),
-                        )
-                    return
-                # Dead target NIC (fail-stop): error completion after
-                # the detection timeout.
-                engine.schedule(
-                    _flt.FAULT_DETECT_DELAY,
-                    lambda _a: ctx.post(
-                        CompletionItem(local_event, _flt.Failure(dst_rank))
-                    ),
-                )
-                return
-            payload = corr.apply(snap[0]) if corr is not None else snap[0]
-            if integ is not None:
-                verdict = integ.verify(
-                    dst_rank, src, snap[1][0], snap[1][1], payload
-                )
-                if verdict == "corrupt":
-                    retransmit()
-                    return
-                if verdict == "duplicate":
-                    return
-            elif corr is not None:
-                # No integrity layer: the damaged reply lands silently.
-                world.trace.incr("pami.silent_corruptions")
-            world.space(src).write_into(local_addr, payload)
-            ctx.post(CompletionItem(local_event))
-
-        engine.schedule(read_dt, read_remote)
-        engine.schedule(complete_dt, complete)
-
-    def retransmit() -> None:
-        if state["retries"] >= budget:
-            world.trace.incr("armci.integrity.aborted")
-            token = _flt.TransientFault("integrity_exhausted", src, dst_rank)
-            engine.schedule(
-                _flt.FAULT_DETECT_DELAY,
-                lambda _a: ctx.post(CompletionItem(local_event, token)),
-            )
-            return
-        state["retries"] += 1
-        integ.count_retransmit(nbytes)
-        final = state["retries"] >= budget
-        corr = None
-        loss = None
-        if link_mode:
-            if final:
-                if net.route_blocked(src, dst_rank):
-                    loss = _flt.TransientFault("unreachable", src, dst_rank)
-            else:
-                wire = net.wire_fate(src, dst_rank, "get")
-                if wire is not None:
-                    if wire[0] == "dropped":
-                        loss = _flt.TransientFault("link_dead", src, dst_rank)
-                    else:
-                        corr = wire[1]
-        t2 = net.get_timing(src, dst_rank, nbytes)
-        base = engine.now
-        delay = integ.config.retransmit_delay
-        if obs is not None:
-            obs.record(
-                src, "net", "integrity", "get.retransmit", base,
-                base + delay + (t2.complete - base),
-                dst=dst_rank, nbytes=nbytes,
-            )
-        round_trip(
-            delay + (t2.deliver - base),
-            delay + (t2.complete - base),
-            corr, loss, _flt.FAULT_DETECT_DELAY,
-            transparent=not final,
-        )
-
-    loss_delay0 = (
-        chaos.config.detect_delay if chaos_fault else _flt.FAULT_DETECT_DELAY
-    )
+        deliver_at = chaos.unordered_deliver(src, dst_rank, deliver_at)
     # Jitter delays the whole round trip: the reply lands later too.
-    round_trip(
-        deliver_at - now,
-        timing.complete + (deliver_at - timing.deliver) - now,
-        corruption, fault, loss_delay0,
-        transparent=False,
-    )
-    world.trace.incr("pami.rdma_gets")
+    complete_at = timing.complete + (deliver_at - timing.deliver)
+    flight.round(deliver_at - now, complete_at - now, corruption, fault, detect)
+    if land is None:
+        world.trace.incr("pami.rdma_gets")
+    obs = world.obs
     if obs is not None:
         sid = obs.record(
-            src, "net", "rdma", "rdma_get", now,
-            timing.complete + (deliver_at - timing.deliver),
-            dst=dst_rank, nbytes=nbytes,
+            src, "net", "rdma", span, now, complete_at,
+            dst=dst_rank, nbytes=nbytes, **span_attrs,
         )
         obs.register_event(local_event, sid)
     return RmaOp("get", src, dst_rank, nbytes, local_event, None, timing)

@@ -5,7 +5,8 @@ operation through :class:`repro.transport.pami.PamiTransport` changes
 *nothing* — same events, same timings, same counters — for the paper
 figures. These tests pin that promise three ways:
 
-1. the committed fig 3/4/8/11 result tables carry the seed md5s,
+1. the golden fig 3/4/8/11 result tables committed under
+   ``tests/golden/`` carry the seed md5s,
 2. the raw figure sweeps reproduce seed-identical data, and
 3. a mixed workload (contiguous/strided/vector/acc/rmw/locks/fences)
    reproduces the seed's exact finish time and counter set in both D
@@ -21,9 +22,15 @@ import pytest
 
 from repro.armci import ArmciConfig, ArmciJob
 from repro.armci.vector import IoVector
+from repro.chaos import ChaosConfig, FaultPlan
+from repro.machine.health import LinkHealthConfig
+from repro.pami.integrity import IntegrityConfig
 from repro.types import StridedDescriptor, StridedShape
 
-RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+#: Committed copies of the figure tables (``benchmarks/results/`` is a
+#: gitignored output directory; regenerating the tables there must
+#: reproduce these bytes).
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 #: md5 of each committed figure table, as produced by the seed tree.
 SEED_FIG_MD5 = {
@@ -47,6 +54,15 @@ SEED_WORKLOAD_MD5 = {
     "AT": "72ff5a377e0585f6f68cfad0d901d88f",
 }
 
+#: md5 of the mixed workload with fault layers armed, recorded on the
+#: tree that still had separate fast and robust RMA bodies: folding the
+#: wire paths into one must not move a single event or counter.
+FAULT_WORKLOAD_MD5 = {
+    "chaos_light_8": "d3146f3c9f5ae467f21ac98458f548ec",
+    "chaos_light_27": "925baa70624875c5c6974574f6537c62",
+    "network_faults": "9e8d0b1ca4cd4c2aec0baa05e8a3d45b",
+}
+
 
 def _md5(data: bytes) -> str:
     return hashlib.md5(data).hexdigest()
@@ -55,8 +71,8 @@ def _md5(data: bytes) -> str:
 class TestCommittedFigureFiles:
     @pytest.mark.parametrize("name", sorted(SEED_FIG_MD5))
     def test_committed_table_is_seed_identical(self, name):
-        path = RESULTS / name
-        assert path.exists(), f"{name} missing from benchmarks/results"
+        path = GOLDEN / name
+        assert path.exists(), f"{name} missing from tests/golden"
         assert _md5(path.read_bytes()) == SEED_FIG_MD5[name], (
             f"{name} drifted from the seed output: the default backend "
             f"must stay byte-identical on the paper figures"
@@ -99,9 +115,18 @@ class TestFigureSweeps:
         assert _md5(repr(data).encode()) == SEED_SWEEP_MD5["fig11_small"]
 
 
-def _workload_digest(config: ArmciConfig) -> str:
-    """Finish-time + counter digest of a mixed ARMCI workload."""
-    job = ArmciJob(4, config=config, procs_per_node=2)
+def _workload_digest(
+    config: ArmciConfig, chaos=None, fault_plan=None, procs_per_node: int = 2
+) -> str:
+    """Finish-time + counter digest of a mixed ARMCI workload.
+
+    ``chaos`` and ``fault_plan`` arm the job's fault layers; integrity
+    and link health ride on ``config``.
+    """
+    job = ArmciJob(
+        4, config=config, procs_per_node=procs_per_node,
+        chaos=chaos, fault_plan=fault_plan,
+    )
     job.init()
 
     def main(rt):
@@ -138,6 +163,37 @@ def _workload_digest(config: ArmciConfig) -> str:
     return _md5("\n".join(lines).encode())
 
 
+def _chaos_light_config(seed: int):
+    """Case (a): light detected-mode chaos, ``strided_protocol="auto"``."""
+    cfg = ArmciConfig(backend="pami", strided_protocol="auto")
+    return cfg, dict(chaos=ChaosConfig.light(seed))
+
+
+def _network_faults_config():
+    """Case (b): every network fault layer armed at once.
+
+    A lossy link, a mid-run link kill, link health monitoring, end-to-end
+    integrity and payload-mode chaos. Zero-copy protocols only, one rank
+    per node so every transfer crosses the torus.
+    """
+    cfg = ArmciConfig(
+        backend="pami",
+        strided_protocol="zero_copy",
+        integrity=IntegrityConfig(),
+        health=LinkHealthConfig(),
+    )
+    plan = (
+        FaultPlan()
+        .lossy_link((0, 0, 0, 0, 0), (0, 0, 0, 0, 1), at=0.0, prob=0.3)
+        .kill_link((0, 0, 0, 0, 1), (0, 0, 0, 1, 1), at=20e-6)
+    )
+    chaos = ChaosConfig(
+        seed=11, corrupt_prob=0.1, corrupt_mode="payload",
+        jitter_prob=0.2, jitter_max=1e-6,
+    )
+    return cfg, dict(chaos=chaos, fault_plan=plan, procs_per_node=1)
+
+
 class TestWorkloadDigest:
     def test_default_mode_byte_identical(self):
         cfg = ArmciConfig(backend="pami", strided_protocol="auto")
@@ -148,6 +204,18 @@ class TestWorkloadDigest:
             backend="pami", strided_protocol="auto"
         )
         assert _workload_digest(cfg) == SEED_WORKLOAD_MD5["AT"]
+
+    @pytest.mark.parametrize("seed", [8, 27])
+    def test_light_chaos_byte_identical(self, seed):
+        cfg, kw = _chaos_light_config(seed)
+        assert (
+            _workload_digest(cfg, **kw)
+            == FAULT_WORKLOAD_MD5[f"chaos_light_{seed}"]
+        )
+
+    def test_network_faults_byte_identical(self):
+        cfg, kw = _network_faults_config()
+        assert _workload_digest(cfg, **kw) == FAULT_WORKLOAD_MD5["network_faults"]
 
     def test_default_backend_resolves_to_pami(self):
         job = ArmciJob(2, procs_per_node=2)
