@@ -96,7 +96,12 @@ def test_fig11_trace_export(request):
     from repro.apps.nwchem import run_scf
     from repro.armci import ArmciConfig, ObsConfig
     from repro.obs.critical_path import attribution_rows, critical_path
-    from repro.obs.export import perfetto_payload, validate_trace_events, write_perfetto
+    from repro.obs.export import (
+        perfetto_payload,
+        validate_trace_events,
+        write_metrics_json,
+        write_perfetto,
+    )
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -116,13 +121,15 @@ def test_fig11_trace_export(request):
             label=label,
             on_job=lambda job: captured.update(job=job),
         )
-        obs = captured["job"].obs
+        job = captured["job"]
+        obs = job.obs
         spans, edges = obs.finished(), obs.edges
         assert obs.truncated_spans == 0
 
         path = out / f"fig11_trace_{label}.json"
         write_perfetto(path, spans, edges)
         assert validate_trace_events(perfetto_payload(spans, edges)) == []
+        write_metrics_json(out / f"fig11_metrics_{label}.json", job.trace)
 
         report = critical_path(spans, edges)
         assert report.coverage >= 0.99, (label, report.coverage)

@@ -87,7 +87,7 @@ def _measure(load, backend, chaos=None, fault_plan=None):
     assert r.exact, (
         f"{backend}: {r.mismatched_keys} keys diverged from the golden model"
     )
-    lat = jobs[0].serve_metrics.histogram("serve.latency").summary()
+    lat = jobs[0].trace.histogram("serve.latency").summary()
     return {
         "requests": r.requests,
         "responses": r.responses,

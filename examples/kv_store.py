@@ -54,7 +54,7 @@ def main() -> None:
     show("clean", r)
     assert r.exact and r.responses == r.requests
 
-    lat = jobs[0].serve_metrics.histogram("serve.latency").summary()
+    lat = jobs[0].trace.histogram("serve.latency").summary()
     print(
         f"  latency: p50={lat['p50'] * 1e6:.1f}us "
         f"p99={lat['p99'] * 1e6:.1f}us p999={lat['p999'] * 1e6:.1f}us"

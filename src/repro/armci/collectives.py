@@ -207,7 +207,7 @@ def barrier(
         # The barrier span doubles as this rank's arrival record; the
         # exit draws a wait-for edge from the last arriver's span (the
         # only place critical_path hops ranks).
-        sid = obs.begin(rt.rank, "main", "barrier", "barrier", timeline="barrier")
+        sid = obs.begin(rt.rank, "main", "barrier", "barrier")
         obs.barrier_arrive(id(rt.job.hw_barrier), rt.rank, sid)
     release = rt.job.hw_barrier.arrive(rt.rank)
     try:

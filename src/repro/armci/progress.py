@@ -50,10 +50,6 @@ def async_progress_loop(rt: "ArmciProcess", ctx: PamiContext) -> Generator[Any, 
         # recommended configuration).
         serviced = yield from ctx.advance(max_items=max(len(ctx.queue), 1))
         trace.incr("armci.async_thread_serviced", serviced)
-        if rt.obs is not None and serviced:
-            rt.obs.metrics.counter("obs.async_thread_serviced").incr(
-                serviced, rank=rt.rank
-            )
 
 
 def start_async_thread(rt: "ArmciProcess") -> None:
@@ -103,8 +99,6 @@ def _fail_over(rt: "ArmciProcess", ctx: PamiContext) -> None:
     to progress duty, as the paper's AT design does at init).
     """
     rt.trace.incr("armci.watchdog_failovers")
-    if rt.obs is not None:
-        rt.obs.metrics.counter("obs.watchdog_failovers").incr(rank=rt.rank)
     rt.progress_failed_over = True
     if rt.async_thread is not None and not rt.async_thread.done.triggered:
         rt.async_thread.kill()

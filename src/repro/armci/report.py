@@ -159,27 +159,21 @@ def runtime_report(job: "ArmciJob") -> str:
     rows.append(
         ["time", "simulated clock", f"{us(job.engine.now):.1f} us"]
     )
-    metrics = getattr(job, "serve_metrics", None)
-    if metrics is not None:
-        lat = metrics.histogram("serve.latency")
-        if lat.count:
-            for label, p in (("p50", 50), ("p99", 99), ("p999", 99.9)):
-                rows.append(
-                    [
-                        "serving",
-                        f"request latency {label}",
-                        f"{us(lat.percentile(p)):.1f} us",
-                    ]
-                )
-            duration = metrics.gauge("serve.duration").value or job.engine.now
-            if duration > 0:
-                rows.append(
-                    [
-                        "serving",
-                        "response throughput",
-                        f"{lat.count / duration:.0f} req/s",
-                    ]
-                )
+    lat = trace.histograms.get("serve.latency")
+    if lat is not None and lat.count:
+        for label, p in (("p50", 50), ("p99", 99), ("p999", 99.9)):
+            rows.append(
+                [
+                    "serving",
+                    f"request latency {label}",
+                    f"{us(lat.percentile(p)):.1f} us",
+                ]
+            )
+        duration = trace.time("serve.duration") or job.engine.now
+        if duration > 0:
+            rows.append(
+                ["serving", "response throughput", f"{lat.count / duration:.0f} req/s"]
+            )
     obs = job.obs
     if obs is not None:
         rows.append(["observability", "spans recorded", len(obs.spans)])

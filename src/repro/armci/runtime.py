@@ -263,10 +263,10 @@ class ArmciJob:
                 num_ranks=num_procs,
             )
             self.trace.incr("pdes.shards", self.config.shards)
-        #: Serving-tier metrics registry (``repro.obs.metrics``), or
-        #: ``None`` until the first ``repro.serve.ActorSystem`` is
-        #: constructed on this job — jobs that never touch the serve
-        #: layer carry only this untouched attribute.
+        #: Alias of ``self.trace``, set when the first
+        #: ``repro.serve.ActorSystem`` is built (``None`` before). Kept
+        #: solely for the benchmark harness, which still reads serving
+        #: histograms through it; everything else reads ``self.trace``.
         self.serve_metrics = None
 
     @property
@@ -953,8 +953,7 @@ class ArmciProcess:
         sid = None
         if self.obs is not None:
             sid = self.obs.begin(
-                self.rank, "main", "op", "put",
-                dst=dst, nbytes=nbytes, timeline="put",
+                self.rank, "main", "op", "put", dst=dst, nbytes=nbytes
             )
 
         def attempt():
@@ -966,8 +965,7 @@ class ArmciProcess:
         finally:
             if sid is not None:
                 self.obs.end(sid)
-        if self.obs is None:
-            self.trace.interval(f"r{self.rank}", "put", t0, self.engine.now)
+        self.trace.interval(f"r{self.rank}", "put", t0, self.engine.now)
 
     def get(
         self, dst: int, local_addr: int, remote_addr: int, nbytes: int,
@@ -978,8 +976,7 @@ class ArmciProcess:
         sid = None
         if self.obs is not None:
             sid = self.obs.begin(
-                self.rank, "main", "op", "get",
-                dst=dst, nbytes=nbytes, timeline="get",
+                self.rank, "main", "op", "get", dst=dst, nbytes=nbytes
             )
 
         def attempt():
@@ -991,8 +988,7 @@ class ArmciProcess:
         finally:
             if sid is not None:
                 self.obs.end(sid)
-        if self.obs is None:
-            self.trace.interval(f"r{self.rank}", "get", t0, self.engine.now)
+        self.trace.interval(f"r{self.rank}", "get", t0, self.engine.now)
 
     # --------------------------------------------------- strided RMA
 
@@ -1283,8 +1279,7 @@ class ArmciProcess:
             # is free): the paper's Fig. 9/11 "waiting on the counter"
             # quantity, directly comparable between D and AT modes.
             sid = obs.begin(
-                self.rank, "main", "counter_wait", "rmw",
-                dst=dst, rmw_op=op, timeline="counter",
+                self.rank, "main", "counter_wait", "rmw", dst=dst, rmw_op=op
             )
         # Natively-serviced AMOs bypass context queues, so they take no
         # FIFO credit.
@@ -1317,8 +1312,7 @@ class ArmciProcess:
             if sid is not None:
                 obs.end(sid)
         self.trace.add_time("armci.rmw_wait_time", self.engine.now - t0)
-        if obs is None:
-            self.trace.interval(f"r{self.rank}", "counter", t0, self.engine.now)
+        self.trace.interval(f"r{self.rank}", "counter", t0, self.engine.now)
         self.trace.incr("armci.rmws")
         self._observe("on_rmw", dst, addr)
         return old
@@ -1341,9 +1335,7 @@ class ArmciProcess:
         t0 = self.engine.now
         sid = None
         if self.obs is not None:
-            sid = self.obs.begin(
-                self.rank, "main", "fence", "fence", dst=dst, timeline="fence"
-            )
+            sid = self.obs.begin(self.rank, "main", "fence", "fence", dst=dst)
         deadline = self._op_deadline(timeout)
         acks = self._pending_acks.pop(dst, [])
         ctx = self.main_context
@@ -1384,8 +1376,7 @@ class ArmciProcess:
         self.tracker.on_fence(dst)
         self._observe("on_fence", dst)
         self.trace.incr("armci.fences")
-        if self.obs is None:
-            self.trace.interval(f"r{self.rank}", "fence", t0, self.engine.now)
+        self.trace.interval(f"r{self.rank}", "fence", t0, self.engine.now)
 
     def fence_all(self, timeout: float | None = None) -> Generator[Any, Any, None]:
         """Fence every destination with outstanding writes."""
@@ -1422,10 +1413,7 @@ class ArmciProcess:
             return
         t0 = self.engine.now
         yield from _coll.barrier(self, deadline=self._op_deadline(timeout))
-        if self.obs is None:
-            # With obs on, the barrier span (collectives.py) emits the
-            # equivalent timeline interval itself.
-            self.trace.interval(f"r{self.rank}", "barrier", t0, self.engine.now)
+        self.trace.interval(f"r{self.rank}", "barrier", t0, self.engine.now)
 
     def allreduce(self, value: float, op: str = "sum") -> Generator[Any, Any, float]:
         """Collective allreduce over all ranks."""
@@ -1580,12 +1568,9 @@ class ArmciProcess:
         t0 = self.engine.now
         sid = None
         if self.obs is not None:
-            sid = self.obs.begin(
-                self.rank, "main", "compute", "compute", timeline="compute"
-            )
+            sid = self.obs.begin(self.rank, "main", "compute", "compute")
         yield Delay(seconds)
         if sid is not None:
             self.obs.end(sid)
         self.trace.add_time("armci.compute_time", seconds)
-        if self.obs is None:
-            self.trace.interval(f"r{self.rank}", "compute", t0, self.engine.now)
+        self.trace.interval(f"r{self.rank}", "compute", t0, self.engine.now)

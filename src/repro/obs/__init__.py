@@ -12,12 +12,14 @@ Sub-modules:
 - :mod:`repro.obs.span` — :class:`Span` / :class:`Obs`: causal spans
   with parent links that survive the AM request/reply handoff, wait-for
   edges, and per-rank lane bookkeeping.
-- :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket
-  log-scale histograms with deterministic snapshots.
 - :mod:`repro.obs.export` — Chrome/Perfetto ``trace_event`` JSON,
   flat JSONL span dumps, metrics snapshots; all byte-stable.
 - :mod:`repro.obs.critical_path` — walk the finished span DAG and
   attribute the full simulated makespan to categories.
+
+Metrics have one home: the job's :class:`repro.sim.trace.Trace`. Span
+durations land there as ``obs.span.<category>`` histograms, next to the
+runtime's counters, dwell times and serving latency histograms.
 
 The whole subsystem is gated by :class:`ObsConfig`: with
 ``enabled=False`` (the default) nothing is allocated and every hot-path
@@ -32,7 +34,6 @@ from .export import (
     write_perfetto,
     write_spans_jsonl,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .span import Obs, ObsConfig, Span, context_lane
 
 __all__ = [
@@ -40,10 +41,6 @@ __all__ = [
     "ObsConfig",
     "Span",
     "context_lane",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "to_trace_events",
     "validate_trace_events",
     "write_perfetto",

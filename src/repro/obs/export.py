@@ -8,8 +8,8 @@ Three formats:
   Loads directly in ``ui.perfetto.dev`` / ``chrome://tracing``.
 - :func:`write_spans_jsonl` — one JSON object per span, flat, for
   ad-hoc tooling (jq, pandas).
-- :func:`write_metrics_json` — a :class:`~repro.obs.metrics.MetricsRegistry`
-  snapshot.
+- :func:`write_metrics_json` — a :class:`~repro.sim.trace.Trace`
+  snapshot: counters, durations and histogram summaries.
 
 All output is deterministic: span ids come from a monotonic counter,
 events are emitted in sorted order, and every ``json.dumps`` uses
@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-from .metrics import MetricsRegistry
+from ..sim.trace import Trace
 from .span import LANES, Span
 
 #: Simulated seconds -> trace_event microseconds.
@@ -162,17 +162,17 @@ def write_spans_jsonl(path, spans: Iterable[Span]) -> None:
             fh.write("\n")
 
 
-def write_metrics_json(path, metrics: MetricsRegistry, per_rank: bool = False) -> None:
-    """Write a deterministic metrics snapshot."""
+def write_metrics_json(path, trace: Trace) -> None:
+    """Write a deterministic snapshot of ``trace``'s metrics."""
+    snapshot = {
+        "counters": dict(trace.counters),
+        "durations": dict(trace.durations),
+        "histograms": {
+            name: h.summary() for name, h in trace.histograms.items()
+        },
+    }
     with open(path, "w") as fh:
-        fh.write(
-            json.dumps(
-                metrics.snapshot(per_rank=per_rank),
-                sort_keys=True,
-                separators=(",", ":"),
-                indent=None,
-            )
-        )
+        fh.write(json.dumps(snapshot, sort_keys=True, separators=(",", ":")))
         fh.write("\n")
 
 

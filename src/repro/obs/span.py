@@ -49,11 +49,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-from .metrics import MetricsRegistry
-
-#: Span names that also emit a legacy ``Trace`` interval (the timeline
-#: glyph set in util/timeline.py). Passed explicitly via ``timeline=``.
-TIMELINE_LABELS = ("compute", "counter", "get", "put", "acc", "fence", "barrier")
+from ..sim.trace import Trace
 
 #: Lane display order (and Perfetto tid assignment).
 LANES = ("main", "async", "net")
@@ -94,8 +90,6 @@ class Span:
     start: float
     end: float | None = None
     attrs: dict[str, Any] = field(default_factory=dict)
-    #: Legacy timeline glyph label (``None`` = no interval emitted).
-    timeline: str | None = None
 
     @property
     def duration(self) -> float:
@@ -113,16 +107,13 @@ class Obs:
     even while AM handlers interleave with blocked application spans.
     """
 
-    def __init__(self, engine, trace=None) -> None:
+    def __init__(self, engine, trace: Trace) -> None:
         self.engine = engine
-        #: Optional ``sim.Trace`` sink: closing a span with a
-        #: ``timeline`` label emits the equivalent legacy interval, so
-        #: the timeline renderer and obs can't drift (satellite of
-        #: ISSUE 5 — intervals derive from spans when obs is on).
+        #: The job's metrics registry: every closed span records its
+        #: duration into the ``obs.span.<category>`` histogram here.
         self.trace = trace
         self.spans: list[Span] = []
         self.edges: list[tuple[int, int]] = []  # (cause span, waiter span)
-        self.metrics = MetricsRegistry()
         #: Dispatch-id -> name map for AM service span names (installed
         #: by ArmciJob; obs itself must not import the armci layer).
         self.dispatch_names: dict[int, str] = {}
@@ -145,7 +136,6 @@ class Obs:
         *,
         parent_id=_AMBIENT,
         start: float | None = None,
-        timeline: str | None = None,
         **attrs,
     ) -> int:
         """Open a span and make it the rank's ambient parent."""
@@ -163,7 +153,6 @@ class Obs:
             self.engine.now if start is None else start,
             None,
             attrs,
-            timeline,
         )
         self.spans.append(span)
         self._by_id[sid] = span
@@ -203,7 +192,6 @@ class Obs:
         end: float,
         *,
         parent_id=_AMBIENT,
-        timeline: str | None = None,
         **attrs,
     ) -> int:
         """Record an already-finished span (no stack interaction)."""
@@ -211,9 +199,7 @@ class Obs:
             parent_id = self.current(rank)
         sid = self._next_id
         self._next_id += 1
-        span = Span(
-            sid, parent_id, rank, lane, category, name, start, end, attrs, timeline
-        )
+        span = Span(sid, parent_id, rank, lane, category, name, start, end, attrs)
         self.spans.append(span)
         self._by_id[sid] = span
         self._on_close(span)
@@ -249,11 +235,7 @@ class Obs:
         return [s for s in self.spans if s.end is not None]
 
     def _on_close(self, span: Span) -> None:
-        if span.timeline is not None and self.trace is not None:
-            self.trace.interval(
-                f"r{span.rank}", span.timeline, span.start, span.end
-            )
-        self.metrics.histogram(f"obs.span.{span.category}").record(
+        self.trace.histogram(f"obs.span.{span.category}").record(
             span.end - span.start, rank=span.rank
         )
 

@@ -20,7 +20,7 @@ crash, chaos or no chaos.
 
 Latency dashboards: each client actor records response round-trip
 latency (delivery time minus arrival) into ``serve.latency`` (plus
-per-kind histograms) in ``job.serve_metrics`` — the p50/p99/p999
+per-kind histograms) in ``job.trace`` — the p50/p99/p999
 source for ``BENCH_serving.json`` and the report's serving section.
 """
 
@@ -159,13 +159,11 @@ class KvClientActor(Actor):
         rt = system.rt
         now = rt.engine.now
         latency = now - records["arrival"]
-        system.metrics.histogram("serve.latency").record_many(
-            latency, rank=rt.rank
-        )
+        rt.trace.histogram("serve.latency").record_many(latency, rank=rt.rank)
         for kind, hist in self._KIND_HIST.items():
             sel = records["kind"] == kind
             if sel.any():
-                system.metrics.histogram(hist).record_many(latency[sel])
+                rt.trace.histogram(hist).record_many(latency[sel])
         n_late = int((now > records["deadline"]).sum())
         self.responses += len(records)
         self.late += n_late
@@ -411,10 +409,9 @@ def run_kv(
         a.deadline_misses
         for a in list(shard_actors.values()) + list(replica_actors.values())
     )
-    if job.serve_metrics is not None:
-        job.serve_metrics.gauge("serve.duration").set(duration)
-        job.serve_metrics.counter("serve.requests").incr(requests)
-        job.serve_metrics.counter("serve.responses").incr(responses)
+    job.trace.add_time("serve.duration", duration)
+    job.trace.incr("serve.requests", requests)
+    job.trace.incr("serve.responses", responses)
     return KvResult(
         num_procs=num_procs,
         num_shards=S,

@@ -33,6 +33,7 @@ from typing import Any
 
 from ...errors import PdesError
 from ..engine import Engine, _mix64
+from ..trace import Trace
 
 #: A wire/timer message: (time, dst, src, seq, kind, payload).
 Message = tuple
@@ -104,7 +105,6 @@ class ShardRuntime:
         network,
         programs: dict[int, RankProgram],
         chaos: ChaosSpec | None = None,
-        metrics=None,
     ) -> None:
         self.shard_id = shard_id
         self.plan = plan
@@ -112,7 +112,8 @@ class ShardRuntime:
         self.network = network
         self.programs = programs
         self.chaos = chaos
-        self.metrics = metrics
+        #: Per-shard metrics; the runner merges every shard's into one.
+        self.metrics = Trace()
         self.lo = plan.bounds[shard_id]
         self.hi = plan.bounds[shard_id + 1]
         self.delivered = 0
@@ -162,8 +163,7 @@ class ShardRuntime:
         seq = self.next_seq(src)
         if self._roll_drop(src, dst, seq):
             self.dropped += 1
-            if self.metrics is not None:
-                self.metrics.counter("pdes.dropped").incr(rank=src)
+            self.metrics.incr("pdes.dropped")
             return
         deliver = self.network.packet_arrival(src, dst)
         self._route((deliver, dst, src, seq, kind, payload))
@@ -181,8 +181,7 @@ class ShardRuntime:
         seq = self.next_seq(src)
         if self._roll_drop(src, dst, seq):
             self.dropped += 1
-            if self.metrics is not None:
-                self.metrics.counter("pdes.dropped").incr(rank=src)
+            self.metrics.incr("pdes.dropped")
             return
         deliver = self.network.put_timing(src, dst, nbytes).deliver
         self._route((deliver, dst, src, seq, kind, payload))
@@ -236,8 +235,7 @@ class ShardRuntime:
         v = time_bits ^ (src * _K_SRC) ^ (seq * _K_SEQ) ^ self._kind_code(kind)
         self._digest[dst] = _mix64(self._digest.get(dst, 0), v & 0xFFFFFFFFFFFFFFFF)
         self.delivered += 1
-        if self.metrics is not None:
-            self.metrics.counter("pdes.delivered").incr(rank=dst)
+        self.metrics.incr("pdes.delivered")
         self.programs[dst].on_message(self, msg)
 
     # ----------------------------------------------------------- summary

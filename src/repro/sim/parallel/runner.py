@@ -33,9 +33,9 @@ from typing import Any, Callable
 
 from ...errors import PdesError
 from ...machine.bgq import BGQParams
-from ...obs.metrics import MetricsRegistry
 from ...topology.mapping import RankMapping, abcdet_mapping
 from ...topology.partitions import KNOWN_PARTITIONS
+from ..trace import Trace
 from .partition import ShardPlan, plan_shards
 from .program import ChaosSpec, combine_digests
 from .rings import DEFAULT_RING_CAPACITY, LocalRing, ShmRing
@@ -83,7 +83,7 @@ class PdesResult:
     sim_time: float
     wall_seconds: float
     results: dict[int, Any] = field(default_factory=dict)
-    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
+    metrics: Trace = field(default_factory=Trace)
 
     @property
     def events_per_sec(self) -> float:
@@ -134,10 +134,7 @@ def _worker_main(
     every reader has passed barrier B of this one.
     """
     try:
-        worker = ShardWorker(
-            shard_id, plan, factory, mapping, params,
-            chaos=chaos, metrics=MetricsRegistry(),
-        )
+        worker = ShardWorker(shard_id, plan, factory, mapping, params, chaos=chaos)
         worker.bootstrap()
         _flush_to_rings(worker, plan.lookahead, rings)
         barrier_a.wait()
@@ -246,10 +243,7 @@ def _run_inline(
         if i != j
     }
     workers = [
-        ShardWorker(
-            s, plan, factory, mapping, params,
-            chaos=chaos, metrics=MetricsRegistry(),
-        )
+        ShardWorker(s, plan, factory, mapping, params, chaos=chaos)
         for s in range(shards)
     ]
     for w in workers:
@@ -310,10 +304,7 @@ def run_program(
 
     start = time_mod.perf_counter()
     if mode == "single":
-        worker = ShardWorker(
-            0, plan, factory, mapping, params,
-            chaos=chaos, metrics=MetricsRegistry(),
-        )
+        worker = ShardWorker(0, plan, factory, mapping, params, chaos=chaos)
         worker.bootstrap()
         worker.run_to_completion()
         reports = [worker.summary()]
@@ -325,15 +316,14 @@ def run_program(
 
     digests: dict[int, int] = {}
     results: dict[int, Any] = {}
-    metrics = MetricsRegistry()
+    metrics = Trace()
     delivered = dropped = events = 0
     epochs = 0
     sim_time = 0.0
     for rep in reports:
         digests.update(rep["digests"])
         results.update(rep["results"])
-        if rep["metrics"] is not None:
-            metrics.merge(rep["metrics"])
+        metrics.merge(rep["metrics"])
         delivered += rep["delivered"]
         dropped += rep["dropped"]
         events += rep["events_executed"]

@@ -42,7 +42,6 @@ class ShardWorker:
         mapping: RankMapping,
         params: BGQParams,
         chaos: ChaosSpec | None = None,
-        metrics=None,
     ) -> None:
         self.shard_id = shard_id
         self.plan = plan
@@ -53,8 +52,7 @@ class ShardWorker:
         network = TorusNetwork(self.engine, mapping, params)
         programs = {rank: factory(rank) for rank in plan.ranks_of(shard_id)}
         self.rt = ShardRuntime(
-            shard_id, plan, self.engine, network, programs,
-            chaos=chaos, metrics=metrics,
+            shard_id, plan, self.engine, network, programs, chaos=chaos
         )
         self.epochs = 0
 

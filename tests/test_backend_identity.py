@@ -3,16 +3,20 @@
 The transport refactor's hard promise: routing every ARMCI wire
 operation through :class:`repro.transport.pami.PamiTransport` changes
 *nothing* — same events, same timings, same counters — for the paper
-figures. These tests pin that promise three ways:
+figures. These tests pin that promise four ways:
 
 1. the golden fig 3/4/8/11 result tables committed under
    ``tests/golden/`` carry the seed md5s,
-2. the raw figure sweeps reproduce seed-identical data, and
+2. the raw figure sweeps reproduce seed-identical data,
 3. a mixed workload (contiguous/strided/vector/acc/rmw/locks/fences)
    reproduces the seed's exact finish time and counter set in both D
-   and AT modes.
+   and AT modes, and
+4. the metric-facing outputs of that workload and of a small KV run
+   (report text, timeline intervals, serving latency summary) keep
+   their md5s, and the timeline is the same with obs on or off.
 
-All golden constants were captured on the pre-refactor seed tree.
+Each golden constant was captured on the tree before the refactor it
+guards.
 """
 
 import hashlib
@@ -20,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.armci import ArmciConfig, ArmciJob
+from repro.armci import ArmciConfig, ArmciJob, ObsConfig
 from repro.armci.vector import IoVector
 from repro.chaos import ChaosConfig, FaultPlan
 from repro.machine.health import LinkHealthConfig
@@ -61,6 +65,20 @@ FAULT_WORKLOAD_MD5 = {
     "chaos_light_8": "d3146f3c9f5ae467f21ac98458f548ec",
     "chaos_light_27": "925baa70624875c5c6974574f6537c62",
     "network_faults": "9e8d0b1ca4cd4c2aec0baa05e8a3d45b",
+}
+
+#: md5 of the metric-facing outputs, recorded on the tree that still
+#: wrote metrics to three registries (``sim.Trace``, ``Obs.metrics`` and
+#: ``job.serve_metrics``) and recorded timeline intervals on two paths:
+#: folding them into one ``Trace`` must not move a byte of report text,
+#: timeline or latency summary.
+METRICS_OUTPUT_MD5 = {
+    "report_obs_D": "89c646a84cebd1f4da6a6c1381fad5e5",
+    "report_obs_AT": "97034fe58c8cca4e416800ec970678ae",
+    "intervals_D": "c6f7f991e8491ad60ffbbec842454a97",
+    "intervals_AT": "d1bb0468a1d980801255cee7bb310a3f",
+    "report_kv": "11e6a73a24cc953e47dd1e5a6325f9aa",
+    "latency_kv": "c2e36b07fe193c4e02392760ad219023",
 }
 
 
@@ -115,10 +133,11 @@ class TestFigureSweeps:
         assert _md5(repr(data).encode()) == SEED_SWEEP_MD5["fig11_small"]
 
 
-def _workload_digest(
-    config: ArmciConfig, chaos=None, fault_plan=None, procs_per_node: int = 2
-) -> str:
-    """Finish-time + counter digest of a mixed ARMCI workload.
+def _mixed_workload(
+    config: ArmciConfig, chaos=None, fault_plan=None, procs_per_node: int = 2,
+    record_intervals: bool = False,
+) -> ArmciJob:
+    """Run a mixed ARMCI workload and return the finished job.
 
     ``chaos`` and ``fault_plan`` arm the job's fault layers; integrity
     and link health ride on ``config``.
@@ -127,6 +146,7 @@ def _workload_digest(
         4, config=config, procs_per_node=procs_per_node,
         chaos=chaos, fault_plan=fault_plan,
     )
+    job.trace.record_intervals = record_intervals
     job.init()
 
     def main(rt):
@@ -157,6 +177,12 @@ def _workload_digest(
         yield from rt.barrier()
 
     job.run(main)
+    return job
+
+
+def _workload_digest(config: ArmciConfig, **kw) -> str:
+    """Finish-time + counter digest of :func:`_mixed_workload`."""
+    job = _mixed_workload(config, **kw)
     lines = [f"t={job.engine.now:.15e}"]
     for key in sorted(job.trace.counters):
         lines.append(f"{key}={job.trace.counters[key]}")
@@ -220,3 +246,81 @@ class TestWorkloadDigest:
     def test_default_backend_resolves_to_pami(self):
         job = ArmciJob(2, procs_per_node=2)
         assert job.transport.capabilities.name == "pami"
+
+
+def _mode_config(mode: str, **kw) -> ArmciConfig:
+    if mode == "AT":
+        return ArmciConfig.async_thread_mode(
+            backend="pami", strided_protocol="auto", **kw
+        )
+    return ArmciConfig(backend="pami", strided_protocol="auto", **kw)
+
+
+def _kv_job() -> ArmciJob:
+    """A small clean ``run_kv`` job (two shards, 128 clients)."""
+    from repro.serve import ClientLoadConfig, KvConfig, run_kv
+
+    load = ClientLoadConfig(
+        num_clients=128, requests_per_client=2, num_keys=128,
+        put_keys_per_rank=8, rate=2e5, arrival="poisson", deadline=5e-3,
+        seed=42,
+    )
+    jobs = []
+    result = run_kv(
+        4, load=load, kv_config=KvConfig(num_shards=2),
+        armci_config=ArmciConfig(backend="pami"), procs_per_node=4,
+        on_job=jobs.append,
+    )
+    assert result.exact
+    return jobs[0]
+
+
+@pytest.fixture(scope="module")
+def kv_job():
+    return _kv_job()
+
+
+class TestMetricsOutputs:
+    @pytest.mark.parametrize("mode", ["D", "AT"])
+    def test_obs_report_text(self, mode):
+        job = _mixed_workload(_mode_config(mode, obs=ObsConfig(enabled=True)))
+        text = job.report()
+        assert "critical path" in text
+        # Rendering the report reads the serving histogram without
+        # creating it.
+        assert "serve.latency" not in job.trace.histograms
+        assert _md5(text.encode()) == METRICS_OUTPUT_MD5[f"report_obs_{mode}"]
+
+    @pytest.mark.parametrize("mode", ["D", "AT"])
+    def test_timeline_intervals(self, mode):
+        job = _mixed_workload(_mode_config(mode), record_intervals=True)
+        intervals = job.trace.intervals
+        assert {iv.label for iv in intervals} == {"put", "get", "counter", "barrier"}
+        digest = _md5(repr(intervals).encode())
+        assert digest == METRICS_OUTPUT_MD5[f"intervals_{mode}"]
+
+    @pytest.mark.parametrize("mode", ["D", "AT"])
+    def test_obs_on_and_off_record_the_same_timeline(self, mode):
+        off = _mixed_workload(_mode_config(mode), record_intervals=True)
+        on = _mixed_workload(
+            _mode_config(mode, obs=ObsConfig(enabled=True)),
+            record_intervals=True,
+        )
+        assert off.obs is None and on.obs is not None
+        assert on.trace.intervals == off.trace.intervals
+
+    def test_kv_report_text(self, kv_job):
+        text = kv_job.report()
+        assert "request latency p99" in text
+        assert _md5(text.encode()) == METRICS_OUTPUT_MD5["report_kv"]
+
+    def test_kv_latency_summary(self, kv_job):
+        summary = kv_job.trace.histograms["serve.latency"].summary()
+        assert summary["count"] == 256
+        digest = _md5(repr(sorted(summary.items())).encode())
+        assert digest == METRICS_OUTPUT_MD5["latency_kv"]
+
+    def test_serve_metrics_is_an_alias_of_the_trace(self, kv_job):
+        # Kept only for the benchmark harness, which still reads the
+        # serving histogram through ``job.serve_metrics``.
+        assert kv_job.serve_metrics is kv_job.trace

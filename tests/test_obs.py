@@ -15,19 +15,16 @@ from repro.obs.export import (
     write_metrics_json,
     write_spans_jsonl,
 )
-from repro.obs.metrics import (
+from repro.obs.span import Obs, Span, context_lane
+from repro.sim.engine import Engine
+from repro.sim.trace import (
     BUCKET_ANCHOR,
     NUM_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
-    MetricsRegistry,
+    Trace,
     bucket_index,
     bucket_upper_edge,
 )
-from repro.obs.span import Obs, Span, context_lane
-from repro.sim.engine import Engine
-from repro.sim.trace import Trace
 
 
 class FakeEngine:
@@ -39,7 +36,7 @@ class FakeEngine:
 
 @pytest.fixture
 def obs():
-    return Obs(FakeEngine())
+    return Obs(FakeEngine(), Trace())
 
 
 class TestSpans:
@@ -126,25 +123,21 @@ class TestSpans:
         assert hung.attrs["truncated"] is True
         assert obs.current(0) is None
 
-    def test_timeline_labels_emit_trace_intervals(self):
+    def test_span_durations_land_in_the_trace(self):
+        # One registry per job: span durations go to the job's Trace as
+        # obs.span.<category> histograms. Spans never write timeline
+        # intervals; the blocking ops record those themselves.
         trace = Trace(record_intervals=True)
-        obs = Obs(FakeEngine(), trace=trace)
-        sid = obs.begin(0, "main", "op", "put", timeline="put")
-        plain = obs.begin(0, "main", "op", "untagged")
-        obs.engine.now = 1.0
-        obs.end(sid)
-        obs.end(plain)
-        assert len(trace.intervals) == 1
-        iv = trace.intervals[0]
-        assert (iv.lane, iv.label, iv.start, iv.end) == ("r0", "put", 0.0, 1.0)
-
-    def test_span_durations_feed_metrics(self, obs):
-        sid = obs.begin(0, "main", "fence", "fence")
+        obs = Obs(FakeEngine(), trace)
+        sid = obs.begin(1, "main", "fence", "fence")
         obs.engine.now = 2e-6
         obs.end(sid)
-        h = obs.metrics.histogram("obs.span.fence")
+        h = trace.histograms["obs.span.fence"]
         assert h.count == 1
         assert h.total == pytest.approx(2e-6)
+        assert set(h.per_rank()) == {1}
+        assert trace.intervals == []
+        assert not trace.counters
 
 
 class TestCausality:
@@ -231,18 +224,6 @@ class TestMetrics:
             assert v <= bucket_upper_edge(i)
             assert v > bucket_upper_edge(i - 1)
 
-    def test_counter_and_gauge_per_rank(self):
-        c = Counter()
-        c.incr()
-        c.incr(4, rank=2)
-        assert c.total == 5
-        assert c.per_rank == {2: 4}
-        g = Gauge()
-        g.set(1.5, rank=0)
-        g.set(2.5)
-        assert g.value == 2.5
-        assert g.per_rank == {0: 1.5}
-
     def test_histogram_summary_and_bucket_percentiles(self):
         h = Histogram()
         for v in (1e-6, 2e-6, 3e-6, 100e-6):
@@ -254,15 +235,6 @@ class TestMetrics:
         # Bucketed percentiles are deterministic upper edges.
         assert s["p50"] == bucket_upper_edge(bucket_index(2e-6))
         assert s["p99"] == bucket_upper_edge(bucket_index(100e-6))
-        assert h.raw == []  # nothing retained by default
-
-    def test_exact_percentiles_with_keep_raw(self):
-        h = Histogram(keep_raw=True)
-        for v in range(1, 101):
-            h.record(v * 1e-6)
-        assert h.percentile(50) == pytest.approx(50e-6)
-        assert h.percentile(95) == pytest.approx(95e-6)
-        assert h.raw[:3] == [1e-6, 2e-6, 3e-6]
 
     def test_merge_and_per_rank(self):
         a = Histogram()
@@ -276,35 +248,26 @@ class TestMetrics:
         assert set(a.per_rank()) == {0, 1}
         assert a.per_rank()[1].count == 1
 
-    def test_registry_merge(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.counter("ops").incr(2, rank=0)
-        b.counter("ops").incr(3, rank=5)
-        b.counter("only_b").incr(7)
-        a.gauge("high").set(1.5)
-        b.gauge("high").set(4.5, rank=5)
-        a.histogram("lat").record(1e-6)
-        b.histogram("lat").record(2e-6)
+    def test_trace_merge(self):
+        a = Trace()
+        b = Trace()
+        a.incr("ops", 2)
+        b.incr("ops", 3)
+        b.incr("only_b", 7)
+        a.add_time("wait", 1.5)
+        b.add_time("wait", 2.0)
+        a.histogram("lat").record(1e-6, rank=0)
+        b.histogram("lat").record(2e-6, rank=5)
+        b.histogram("only_b").record(3e-6)
         a.merge(b)
-        assert a.counter("ops").total == 5
-        assert a.counter("ops").per_rank == {0: 2, 5: 3}
-        assert a.counter("only_b").total == 7
-        assert a.gauge("high").value == 4.5
+        assert a.count("ops") == 5
+        assert a.count("only_b") == 7
+        assert a.time("wait") == pytest.approx(3.5)
         assert a.histogram("lat").count == 2
-
-    def test_registry_snapshot_is_json_stable(self):
-        reg = MetricsRegistry()
-        reg.counter("b").incr(2, rank=1)
-        reg.counter("a").incr()
-        reg.gauge("depth").set(3.0)
-        reg.histogram("lat").record(5e-6, rank=1)
-        snap = reg.snapshot(per_rank=True)
-        assert list(snap["counters"]) == ["a", "b"]
-        assert snap["per_rank"]["counters"]["b"] == {"1": 2}
-        assert snap["per_rank"]["histograms"]["lat"]["1"]["count"] == 1
-        text = json.dumps(snap, sort_keys=True)
-        assert json.dumps(reg.snapshot(per_rank=True), sort_keys=True) == text
+        assert set(a.histogram("lat").per_rank()) == {0, 5}
+        assert a.histogram("only_b").count == 1
+        # The source trace is left untouched.
+        assert b.count("ops") == 3 and b.histogram("lat").count == 1
 
 
 class TestHistogramShardMerge:
@@ -360,43 +323,11 @@ class TestHistogramShardMerge:
         assert merged.summary() == whole.summary()
 
     def test_summary_includes_p999(self):
-        h = Histogram(keep_raw=True)
+        h = Histogram()
         h.record_many([float(i) * 1e-6 for i in range(1, 1001)])
         s = h.summary()
-        assert s["p999"] == pytest.approx(1000e-6)
+        assert s["p999"] == bucket_upper_edge(bucket_index(1000e-6))
         assert s["p999"] >= s["p99"] >= s["p95"] >= s["p50"]
-
-    def test_raw_merge_keeps_exactness(self):
-        a = Histogram(keep_raw=True)
-        b = Histogram(keep_raw=True)
-        a.record_many([1e-6, 2e-6])
-        b.record_many([3e-6, 4e-6])
-        a.merge(b)
-        assert a.keep_raw
-        assert a.percentile(50) == pytest.approx(2e-6)
-
-    def test_keep_raw_mismatch_degrades_to_buckets(self):
-        # Folding a bucket-only shard into a raw-keeping histogram must
-        # NOT keep quoting "exact" percentiles over a partial raw list —
-        # that silently drifts from the truth. It degrades to bucket
-        # percentiles covering every observation instead.
-        raw = Histogram(keep_raw=True)
-        raw.record_many([1e-6] * 10)
-        buckets_only = Histogram()
-        buckets_only.record_many([100e-6] * 90)
-        raw.merge(buckets_only)
-        assert not raw.keep_raw
-        assert raw.count == 100
-        # p99 now reflects the bucket truth (dominated by the 100us
-        # observations), not the stale 10-value raw list.
-        assert raw.percentile(99) >= 100e-6
-
-    def test_empty_bucket_only_merge_preserves_raw(self):
-        raw = Histogram(keep_raw=True)
-        raw.record(5e-6)
-        raw.merge(Histogram())  # empty shard: nothing to mistrust
-        assert raw.keep_raw
-        assert raw.percentile(50) == pytest.approx(5e-6)
 
 
 def _sample_spans():
@@ -465,11 +396,20 @@ class TestExport:
         write_spans_jsonl(jsonl, spans)
         lines = [json.loads(l) for l in jsonl.read_text().splitlines()]
         assert [d["span_id"] for d in lines] == [1, 2, 3]
-        reg = MetricsRegistry()
-        reg.counter("ops").incr(3)
+        trace = Trace()
+        trace.incr("ops", 3)
+        trace.add_time("wait", 2e-6)
+        trace.histogram("lat").record(5e-6, rank=1)
         mpath = tmp_path / "metrics.json"
-        write_metrics_json(mpath, reg)
-        assert json.loads(mpath.read_text())["counters"]["ops"] == 3
+        write_metrics_json(mpath, trace)
+        text = mpath.read_text()
+        snap = json.loads(text)
+        assert snap["counters"] == {"ops": 3}
+        assert snap["durations"] == {"wait": 2e-6}
+        assert snap["histograms"]["lat"] == trace.histogram("lat").summary()
+        # Byte-stable: a second write of the same trace is identical.
+        write_metrics_json(mpath, trace)
+        assert mpath.read_text() == text
 
 
 class TestCriticalPath:

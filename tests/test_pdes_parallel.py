@@ -276,9 +276,8 @@ class TestRunner:
         r = run_program(
             make_factory("clique", n, ops=4, seed=1), n, shards=2, mode="inline"
         )
-        snap = r.metrics.snapshot(per_rank=True)
-        assert snap["counters"]["pdes.delivered"] == r.delivered
-        assert len(snap["per_rank"]["counters"]["pdes.delivered"]) == n
+        assert r.metrics.count("pdes.delivered") == r.delivered
+        assert r.metrics.count("pdes.dropped") == r.dropped
 
     def test_chaos_requires_valid_spec(self):
         with pytest.raises(PdesError):
