@@ -123,11 +123,41 @@ class TestSpans:
         assert hung.attrs["truncated"] is True
         assert obs.current(0) is None
 
-    def test_span_durations_land_in_the_trace(self):
-        # One registry per job: span durations go to the job's Trace as
-        # obs.span.<category> histograms. Spans never write timeline
-        # intervals; the blocking ops record those themselves.
+    def test_timeline_labels_emit_trace_intervals(self):
+        # Spans never write timeline intervals; each blocking op records
+        # its own, labelled by the op, whether obs is on or off.
         trace = Trace(record_intervals=True)
+        obs = Obs(FakeEngine(), trace)
+        sid = obs.begin(0, "main", "op", "put")
+        obs.engine.now = 1.0
+        obs.end(sid)
+        assert trace.intervals == []
+
+        def body(rt):
+            alloc = yield from rt.malloc(64)
+            if rt.rank == 0:
+                src = rt.world.space(0).allocate(64)
+                yield from rt.put(1, src, alloc.addr(1), 64)
+                yield from rt.compute(10e-6)
+            yield from rt.barrier()
+
+        runs = []
+        for enabled in (True, False):
+            config = ArmciConfig(obs=ObsConfig(enabled=enabled))
+            job = ArmciJob(2, procs_per_node=1, config=config)
+            job.trace.record_intervals = True
+            job.init()
+            job.run(body)
+            runs.append(job.trace.intervals)
+        on, off = runs
+        assert {"put", "compute", "barrier"} <= {iv.label for iv in on}
+        assert sum(iv.label == "put" for iv in on) == 1
+        assert on == off
+
+    def test_span_durations_feed_metrics(self):
+        # One registry per job: span durations go to the job's Trace as
+        # obs.span.<category> histograms, and add no counters.
+        trace = Trace()
         obs = Obs(FakeEngine(), trace)
         sid = obs.begin(1, "main", "fence", "fence")
         obs.engine.now = 2e-6
@@ -136,7 +166,6 @@ class TestSpans:
         assert h.count == 1
         assert h.total == pytest.approx(2e-6)
         assert set(h.per_rank()) == {1}
-        assert trace.intervals == []
         assert not trace.counters
 
 
@@ -248,7 +277,7 @@ class TestMetrics:
         assert set(a.per_rank()) == {0, 1}
         assert a.per_rank()[1].count == 1
 
-    def test_trace_merge(self):
+    def test_registry_merge(self):
         a = Trace()
         b = Trace()
         a.incr("ops", 2)
@@ -268,6 +297,29 @@ class TestMetrics:
         assert a.histogram("only_b").count == 1
         # The source trace is left untouched.
         assert b.count("ops") == 3 and b.histogram("lat").count == 1
+
+    def test_registry_snapshot_is_json_stable(self, tmp_path):
+        trace = Trace()
+        trace.incr("b", 2)
+        trace.incr("a")
+        trace.histogram("lat").record(5e-6, rank=1)
+        # snapshot() is the counter dict the benchmark harness reads.
+        assert trace.snapshot() == {"a": 1, "b": 2}
+        assert json.loads(json.dumps(trace.snapshot())) == trace.snapshot()
+        path = tmp_path / "metrics.json"
+        write_metrics_json(path, trace)
+        text = path.read_text()
+        snap = json.loads(text)
+        assert list(snap) == ["counters", "durations", "histograms"]
+        assert list(snap["counters"]) == ["a", "b"]
+        assert snap["histograms"]["lat"]["count"] == 1
+        # Recording order does not change the bytes.
+        other = Trace()
+        other.histogram("lat").record(5e-6, rank=1)
+        other.incr("a")
+        other.incr("b", 2)
+        write_metrics_json(path, other)
+        assert path.read_text() == text
 
 
 class TestHistogramShardMerge:
